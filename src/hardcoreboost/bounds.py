@@ -21,7 +21,6 @@ class BoundInputs:
     n: int  # hypothesis count
     delta: float  # failure probability
     epsilon: float = 0.0  # empirical suboptimality
-    rho: float = 1e-2  # suboptimality tolerance
     phi0: float = 1.0  # loss value at the origin
     mu_core: float = 0.0  # core mass
     c: float = 1.0  # structural constant

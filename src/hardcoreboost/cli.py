@@ -64,8 +64,7 @@ def cmd_train(args) -> dict:
     loss = parse_loss(args.loss)
     method = {"sub": "subgradient", "coord": "coordinate"}[args.method]
     cfg = OptimizerConfig(
-        method=method, max_iters=args.max_iters, rho=args.rho,
-        step_scale=args.step_scale, seed=args.seed,
+        method=method, max_iters=args.max_iters, step_scale=args.step_scale
     )
     run = run_optimizer(fm, loss, cfg)
     if args.trace:
@@ -159,7 +158,7 @@ def cmd_impossibility(args) -> dict:
         "misclassified_mass": rep.misclassified_mass,
         "rows": [
             {"scale": r.scale, "risk_maxmargin": r.risk_maxmargin,
-             "risk_separator": r.risk_separator}
+             "risk_separator": r.risk_separator, "saturated": r.saturated}
             for r in rep.rows
         ],
     }
@@ -212,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--loss", default="exp")
     p.add_argument("--method", choices=["sub", "coord"], default="coord")
-    p.add_argument("--rho", type=float, default=1e-2)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--step-scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", default=None, help="iteration trace CSV path")
     common(p)
 

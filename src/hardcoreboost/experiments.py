@@ -42,8 +42,14 @@ class StaggeredWorld:
 
     def surrogate_risk(self, lam, loss: Loss) -> float:
         """Exact R_phi(H lam) by summation over the support."""
+        risk, _ = self.surrogate_risk_saturated(lam, loss)
+        return risk
+
+    def surrogate_risk_saturated(self, lam, loss: Loss) -> tuple[float, bool]:
+        """Exact R_phi(H lam) plus a flag marking whether the exp clamp engaged."""
         m = self.labels * (self.points @ np.asarray(lam, dtype=float))
-        return float(np.sum(self.masses * loss.value(-m)))
+        values, saturated = loss.value_saturated(-m)
+        return float(np.sum(self.masses * values)), saturated
 
     def classification_risk(self, lam) -> float:
         pred = np.where(self.points @ np.asarray(lam, dtype=float) >= 0.0, 1.0, -1.0)
@@ -127,6 +133,7 @@ class ImpossibilityRow:
     scale: float
     risk_maxmargin: float  # true R_phi(c * H lam_hat)
     risk_separator: float  # true R_phi(c * H lam_bar)
+    saturated: bool  # the exp clamp engaged in either risk, which is then a lower bound
 
 
 @dataclass(frozen=True)
@@ -180,14 +187,11 @@ def impossibility_report(
     if null_finding:
         sample = sample_world(world, m, used_seed)
         lam_hat, margin = max_margin_2d(sample)
-    rows = tuple(
-        ImpossibilityRow(
-            float(c),
-            world.surrogate_risk(float(c) * lam_hat, loss),
-            world.surrogate_risk(float(c) * world.separator, loss),
-        )
-        for c in scales
-    )
+    rows = []
+    for c in scales:
+        risk_hat, sat_hat = world.surrogate_risk_saturated(float(c) * lam_hat, loss)
+        risk_sep, sat_sep = world.surrogate_risk_saturated(float(c) * world.separator, loss)
+        rows.append(ImpossibilityRow(float(c), risk_hat, risk_sep, sat_hat or sat_sep))
     return ImpossibilityReport(
         depth=depth,
         m=m,
@@ -199,7 +203,7 @@ def impossibility_report(
         margin=float(margin),
         classification_risk=world.classification_risk(lam_hat),
         misclassified_mass=world.misclassified_mass(lam_hat),
-        rows=rows,
+        rows=tuple(rows),
     )
 
 
@@ -332,7 +336,7 @@ def _train_to_suboptimality(fm, loss, epsilon, max_iters):
     """Coordinate descent until the empirical risk is epsilon-close to optimal.
 
     Lattice features partition the sample, so the empirical optimum splits
-    per cell and is computed exactly for the stopping test.
+    per cell and is computed exactly to set the descent's target objective.
     """
     from ._scalar import golden_min
 
@@ -352,26 +356,10 @@ def _train_to_suboptimality(fm, loss, epsilon, max_iters):
     outside = fm.features.sum(axis=1) == 0
     opt += float(np.sum(fm.weights[outside] * loss.value(0.0)))
 
-    chunk = max(2 * fm.n, 16)
-    lam = np.zeros(fm.n)
-    run = None
-    achieved = False
-    done = 0
-    while done < max_iters:
-        cfg = OptimizerConfig(
-            method="coordinate",
-            max_iters=min(chunk, max_iters - done),
-            rho=epsilon,
-            grad_tol=1e-12,
-        )
-        run = coordinate_descent(fm, loss, cfg, init=lam)
-        lam = run.lam
-        done += run.iterations
-        achieved = run.objective <= opt + epsilon
-        if achieved or run.stop_reason == "gradient":
-            achieved = run.objective <= opt + epsilon
-            break
-    return run, achieved
+    target = opt + epsilon
+    cfg = OptimizerConfig(max_iters=max_iters, grad_tol=1e-12)
+    run = coordinate_descent(fm, loss, cfg, target=target)
+    return run, run.objective <= target
 
 
 def consistency_sweep(cfg: SweepConfig) -> list[StageResult]:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from ._scalar import bisect_root, golden_min
 
@@ -26,22 +27,6 @@ KINDS = ("exp", "logistic", "hinge", "cone")
 
 class UnsupportedLossError(ValueError):
     """Raised when an operation does not support the given loss kind."""
-
-
-def _softplus(z):
-    # log(1 + exp(z)) = log1p(exp(-|z|)) + max(z, 0), stable at both extremes
-    z = np.asarray(z, dtype=float)
-    return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
-
-
-def _sigmoid(z):
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _exp_clamped(z):
@@ -94,12 +79,12 @@ class Loss:
         if self.kind == "exp":
             v, sat = _exp_clamped(za)
         elif self.kind == "logistic":
-            v, sat = _softplus(za), False
+            v, sat = np.logaddexp(0.0, za), False
         elif self.kind == "hinge":
             v, sat = np.maximum(0.0, 1.0 + za), False
         else:
             e, sat = _exp_clamped(za)
-            v = self.c1 * _softplus(za) + self.c2 * e
+            v = self.c1 * np.logaddexp(0.0, za) + self.c2 * e
         return _scalar_like(v, z), sat
 
     def subgradient(self, z):
@@ -111,12 +96,12 @@ class Loss:
         if self.kind == "exp":
             g, _ = _exp_clamped(za)
         elif self.kind == "logistic":
-            g = _sigmoid(za)
+            g = expit(za)
         elif self.kind == "hinge":
             g = np.where(za > -1.0, 1.0, 0.0)
         else:
             e, _ = _exp_clamped(za)
-            g = self.c1 * _sigmoid(za) + self.c2 * e
+            g = self.c1 * expit(za) + self.c2 * e
         return _scalar_like(g, z)
 
     def max_subgradient(self, z) -> float:

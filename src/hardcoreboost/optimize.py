@@ -31,16 +31,14 @@ DECORRELATION_TOL = 1e-7
 class OptimizerConfig:
     method: str = "coordinate"  # "subgradient" | "coordinate"
     max_iters: int = 1000
-    rho: float = 1e-2  # target suboptimality, used with dual gap stopping
     grad_tol: float = 1e-8  # sup-norm stop tolerance on the full gradient
     step_scale: float = 1.0  # subgradient step size scale/sqrt(t+1)
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("subgradient", "coordinate"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rho <= 0 or self.max_iters < 1:
-            raise ValueError("rho must be positive and max_iters >= 1")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -49,9 +47,8 @@ class OptRun:
     objective_trace: np.ndarray
     grad_sup_trace: np.ndarray
     norm_trace: np.ndarray
-    stop_reason: str  # "gradient" | "iterations" | "gap"
+    stop_reason: str  # "gradient" | "iterations" | "target"
     iterations: int
-    dual_bound: float | None = None
     truncated_steps: int = 0
 
     @property
@@ -97,7 +94,7 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     return OptRun(
         best_lam,
         np.array(objs),
-        np.array(grads if grads else [0.0]),
+        np.array(grads),
         np.array(norms),
         stop,
         it,
@@ -137,15 +134,15 @@ def coordinate_descent(
     fm: FeatureMatrix,
     loss: Loss,
     cfg: OptimizerConfig,
-    dual_p: np.ndarray | None = None,
     init: np.ndarray | None = None,
+    target: float | None = None,
 ) -> OptRun:
     """Greedy coordinate descent with exact line search (AdaBoost-style).
 
-    Picks the coordinate with the largest absolute partial derivative (ties
-    to the lowest index) and minimizes exactly along it.  Stops on a small
-    full gradient, the iteration budget, or, when a decorrelating dual_p is
-    supplied, a duality gap at most cfg.rho.
+    Starts from init (zero by default), picks the coordinate with the largest
+    absolute partial derivative (ties to the lowest index) and minimizes
+    exactly along it.  Stops once the objective is at most target, on a
+    small full gradient, or at the iteration budget.
     """
     if loss.kind not in ("exp", "logistic", "cone"):
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
@@ -153,22 +150,19 @@ def coordinate_descent(
     objs = [surrogate_risk(fm, lam, loss)]
     grads = []
     norms = [float(np.abs(lam).sum())]
-    dual = None
     stop = "iterations"
     truncated = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
+        if target is not None and objs[-1] <= target:
+            stop = "target"
+            break
         g = _risk_gradient(fm, loss, lam)
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
-        if dual_p is not None:
-            dual = dual_lower_bound(fm, loss, dual_p)
-            if objs[-1] - dual <= cfg.rho:
-                stop = "gap"
-                break
         i = int(np.argmax(np.abs(g)))
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
@@ -180,11 +174,10 @@ def coordinate_descent(
     return OptRun(
         lam,
         np.array(objs),
-        np.array(grads if grads else [0.0]),
+        np.array(grads),
         np.array(norms),
         stop,
         it,
-        dual_bound=dual,
         truncated_steps=truncated,
     )
 

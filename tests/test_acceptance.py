@@ -130,13 +130,6 @@ def test_acceptance_4_optimizer_oracle_contract(report):
     )
 
 
-def _world_risk(world, lam, loss):
-    """Exact world risk by summation over the support, plus the clamp flag."""
-    z = -world.labels * (world.points @ np.asarray(lam, dtype=float))
-    values, saturated = loss.value_saturated(z)
-    return float(np.sum(world.masses * values)), saturated
-
-
 def test_acceptance_5_impossibility_reproduction(report):
     start = time.time()
     loss = Loss("exp")
@@ -150,7 +143,7 @@ def test_acceptance_5_impossibility_reproduction(report):
     scale = 4.0 ** (world.depth + 1)
     # All separator exponents are negative, so its risk is never clamped; a
     # clamped value would understate it and could not witness the decay.
-    sep_risk, sep_saturated = _world_risk(world, scale * world.separator, loss)
+    sep_risk, sep_saturated = world.surrogate_risk_saturated(scale * world.separator, loss)
     sep_ok = sep_risk < 1e-3 and not sep_saturated
     events = 0
     ratio_failures = 0
@@ -162,12 +155,12 @@ def test_acceptance_5_impossibility_reproduction(report):
         lam_hat, _ = hb.max_margin_2d(sample)
         if world.misclassified_mass(lam_hat) > 0.0:
             events += 1
-            r1, _ = _world_risk(world, lam_hat, loss)
+            r1, _ = world.surrogate_risk_saturated(lam_hat, loss)
             # Exponents past EXP_CLAMP are capped, which only lowers each
             # term: a clamped scaled risk is a lower bound on the true one,
             # so exceeding ten times the unscaled risk still witnesses the
             # divergence.
-            r_scaled, clamped = _world_risk(world, scale * lam_hat, loss)
+            r_scaled, clamped = world.surrogate_risk_saturated(scale * lam_hat, loss)
             saturated += clamped
             if not r_scaled > 10.0 * r1:
                 ratio_failures += 1

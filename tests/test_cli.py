@@ -131,3 +131,12 @@ class TestImpossibilityCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["depth"] == 4
         assert len(report["rows"]) == 6
+
+    def test_saturated_rows_are_marked(self, capsys):
+        code = run(
+            "impossibility --depth 10 --m 20 --seed 0 --scales 1,32,4194304 "
+            "--no-timestamp".split()
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["saturated"] for r in rows] == [False, False, True]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardcoreboost.losses import (
+    EXP_CLAMP,
     Loss,
     UnsupportedLossError,
     parse_loss,
@@ -83,6 +84,31 @@ class TestSubgradients:
         assert h.max_subgradient(-1.0) == 1.0
         assert h.max_subgradient(-1.5) == 0.0
         assert h.max_subgradient(3.0) == 1.0
+
+
+@pytest.mark.parametrize("spec", ["logistic", "cone:1,1"])
+class TestExtremeArguments:
+    """The sigmoid and softplus kernels neither overflow nor lose accuracy."""
+
+    def test_finite_and_exact_at_the_ends(self, spec):
+        loss = parse_loss(spec)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for z in (-800.0, -40.0, 0.0, 40.0, 800.0):
+                assert np.isfinite(loss.value(z))
+                assert np.isfinite(loss.subgradient(z))
+            assert loss.subgradient(-800.0) == 0.0
+            top = 1.0 if spec == "logistic" else 1.0 + math.exp(EXP_CLAMP)
+            assert loss.subgradient(800.0) == top
+
+    def test_matches_the_textbook_formulas(self, spec):
+        loss = parse_loss(spec)
+        z = np.linspace(-700.0, 700.0, 14001)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            exp_part = 0.0 if spec == "logistic" else np.exp(z)
+            sigmoid = 1.0 / (1.0 + np.exp(-z)) + exp_part
+            softplus = np.log1p(np.exp(z)) + exp_part
+            np.testing.assert_allclose(loss.subgradient(z), sigmoid, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(loss.value(z), softplus, rtol=1e-15, atol=0.0)
 
 
 class TestConjugate:

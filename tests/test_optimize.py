@@ -117,16 +117,27 @@ class TestCoordinateDescent:
         run = coordinate_descent(fm, Loss("exp"), OptimizerConfig(max_iters=1))
         assert run.lam[0] != 0.0 and run.lam[1] == 0.0
 
-    def test_gap_stop_with_dual_p(self):
-        fm = duplicated_point_fm()
-        run = coordinate_descent(
-            fm,
-            Loss("exp"),
-            OptimizerConfig(max_iters=100, rho=1e-2),
-            dual_p=np.array([1.0, 1.0]),
-        )
-        assert run.stop_reason in ("gap", "gradient")
-        assert run.dual_bound is None or run.dual_bound <= run.objective + 1e-9
+    def test_target_stop(self):
+        # risk (2 exp(-lam) + exp(lam)) / 3 has minimum 2 sqrt(2) / 3
+        fm = FeatureMatrix(np.ones((3, 1)), np.array([1.0, 1.0, -1.0]))
+        target = 2.0 * math.sqrt(2.0) / 3.0 + 1e-6
+        run = coordinate_descent(fm, Loss("exp"), OptimizerConfig(max_iters=100), target=target)
+        assert run.stop_reason == "target"
+        assert run.objective <= target
+        assert run.objective_trace[-2] > target
+
+    def test_target_at_start_leaves_lambda_unchanged(self):
+        fm = FeatureMatrix(np.ones((3, 1)), np.array([1.0, 1.0, -1.0]))
+        init = np.array([0.3])
+        start = surrogate_risk(fm, init, Loss("exp"))
+        for target in (start, start + 1.0):
+            run = coordinate_descent(
+                fm, Loss("exp"), OptimizerConfig(max_iters=100), init=init, target=target
+            )
+            assert run.stop_reason == "target"
+            assert run.iterations == 1
+            assert np.array_equal(run.lam, init)
+            assert run.grad_sup_trace.size == 0  # stopped before any gradient
 
 
 class TestOracleContract:
@@ -229,4 +240,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(method="newton")
     with pytest.raises(ValueError):
-        OptimizerConfig(rho=0.0)
+        OptimizerConfig(max_iters=0)
