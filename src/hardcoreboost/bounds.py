@@ -73,6 +73,10 @@ def _vc_log_term(n: int, m_plus: float, delta_prime: float) -> float:
     return n * math.log(2.0 * m_plus + 1.0) + math.log(4.0 / delta_prime)
 
 
+def _vc_zero_error_tail(n: int, m_plus: float, delta_prime: float) -> float:
+    return 4.0 * _vc_log_term(n, m_plus, delta_prime) / m_plus
+
+
 def vc_unbounded_bound(
     n: int,
     m_plus: float,
@@ -87,10 +91,10 @@ def vc_unbounded_bound(
     """
     if m_plus < 1:
         raise ValueError("m_plus must be >= 1")
-    log_term = _vc_log_term(n, m_plus, delta_prime)
-    tail = 4.0 * log_term / m_plus
+    tail = _vc_zero_error_tail(n, m_plus, delta_prime)
     if zero_error:
         return tail
+    log_term = _vc_log_term(n, m_plus, delta_prime)
     return (
         epsilon / phi0
         + 2.0 * math.sqrt(2.0 * epsilon * log_term / (phi0 * m_plus))
@@ -151,27 +155,16 @@ def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) 
     )
     preconditions["epsilon_small"] = inputs.epsilon < inputs.phi0 / inputs.m
 
+    psi_term = vc_term = 0.0
     if mu_c > 0:
-        inner = (
-            inputs.epsilon
-            + inputs.c
-            * math.sqrt(2.0)
-            * (math.sqrt(math.log(inputs.n)) + 4.0 * math.sqrt(math.log(2.0 / dp)))
-            / math.sqrt(inputs.m * mu_c)
-            + approx_error
-        )
-        psi_term = psi_inverse_bound(loss, inner)
-    else:
-        psi_term = 0.0
+        psi_term = core_classification_bound(
+            loss, inputs.c, inputs.n, dp, inputs.epsilon, inputs.m * mu_c / 2.0, approx_error
+        ).value
     if mu_cc > 0:
-        m_plus = inputs.m * mu_cc
-        vc_term = (
-            8.0
-            * (inputs.n * math.log(m_plus + 1.0) + math.log(4.0 / dp))
-            / m_plus
-        )
-    else:
-        vc_term = 0.0
+        # vc_unbounded_bound(..., zero_error=True) without its m_plus >= 1 guard:
+        # a complement of under two sample points still gets its (vacuous) term
+        m_plus = inputs.m * mu_cc / 2.0
+        vc_term = _vc_zero_error_tail(inputs.n, m_plus, dp)
     return BoundReport(psi_term, vc_term, psi_term + vc_term, dp, preconditions, inputs)
 
 

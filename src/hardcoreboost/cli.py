@@ -92,8 +92,6 @@ def cmd_hardcore(args) -> dict:
     fm = cls.materialize(sample)
     cert = hardcore.compute_hardcore(fm)
     dich = hardcore.verify_dichotomy(fm, cert.core, trials=args.trials, seed=args.seed)
-    if args.dump_lp:
-        sys.stderr.write(f"core size {len(cert.core)} of {fm.m}\n")
     return {
         "core": cert.core.tolist(),
         "p": cert.p.tolist(),
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--dump-lp", action="store_true")
     common(p)
 
     p = sub.add_parser("bounds", help="evaluate the finite-sample bound calculators")

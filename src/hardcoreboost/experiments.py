@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hardcore import _max_margin
 from .hypotheses import LatticeCellClass
-from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
 from .losses import Loss
 from .optimize import OptimizerConfig, coordinate_descent
 from .risk import Sample, surrogate_risk
@@ -90,42 +90,15 @@ def sample_world(world: StaggeredWorld, m: int, seed: int) -> Sample:
 def max_margin_2d(sample: Sample) -> tuple[np.ndarray, float]:
     """l1-normalized max-margin direction for 2-D projection features.
 
-    Solves max t subject to y_j <lam, x_j> >= t and |lam|_1 = 1.  A
-    nonseparable sample is reported through t <= 0.
+    Solves max t subject to y_j <lam, x_j> >= t and |lam|_1 <= 1, the
+    empty-core case of the hard-core separator LP.  A nonseparable sample is
+    reported through t <= 0.
     """
     if sample.x.shape[1] != 2:
         raise ValueError("max_margin_2d expects 2-D instances")
     if len(set(sample.y)) < 2:
         raise ValueError("both labels must be present")
-    a = sample.x * sample.y[:, None]  # margin_j = a_j @ lam
-    m = len(sample.y)
-
-    # variables [lam+ (2), lam- (2), t, slacks (m)]
-    nv = 5 + m
-    obj = np.zeros(nv)
-    obj[4] = 1.0
-    rows = []
-    for j in range(m):
-        row = np.zeros(nv)
-        row[:2] = a[j]
-        row[2:4] = -a[j]
-        row[4] = -1.0
-        row[5 + j] = -1.0
-        rows.append(row)
-    norm_row = np.zeros(nv)
-    norm_row[:4] = 1.0
-    rows.append(norm_row)
-    rhs = np.concatenate([np.zeros(m), [1.0]])
-    lower = np.zeros(nv)
-    lower[4] = -1.0
-    upper = np.full(nv, np.inf)
-    upper[:4] = 1.0
-    upper[4] = 1.0
-    sol = solve(LinearProgram(obj, np.array(rows), rhs, lower, upper))
-    if sol.status != STATUS_OPTIMAL:
-        raise LpError(f"max-margin LP is {sol.status}")
-    lam = sol.x[:2] - sol.x[2:4]
-    return lam, float(sol.value)
+    return _max_margin(np.zeros((0, 2)), sample.x * sample.y[:, None])
 
 
 @dataclass(frozen=True)

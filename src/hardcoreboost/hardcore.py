@@ -9,8 +9,6 @@ certificate is returned.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,6 @@ from .risk import region_to_mask
 
 # One order of magnitude above the LP feasibility tolerance.
 CORE_TOL = 1e-7
-
-THREADS_ENV = "HARDCOREBOOST_THREADS"
 
 
 class HardCoreInconsistencyError(RuntimeError):
@@ -46,14 +42,6 @@ def _correlation_matrix(fm: FeatureMatrix) -> np.ndarray:
     return (fm.features * fm.labels[:, None]).T
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertificate:
     """Compute and verify the hard core of the sampled problem.
 
@@ -75,13 +63,7 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
             raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
         return sol
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solutions = list(pool.map(point_lp, range(m)))
-    else:
-        solutions = [point_lp(j) for j in range(m)]
-
+    solutions = [point_lp(j) for j in range(m)]
     optima = np.array([s.value for s in solutions])
     core_mask = optima > tol
     p = np.sum([s.x for s in solutions], axis=0)
@@ -94,6 +76,35 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
     cert = HardCoreCertificate(core, p, lam, t, optima)
     _verify_certificate(fm, cert, tol)
     return cert
+
+
+def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Max-margin weighting that abstains on some points.
+
+    Rows of both arrays are points, columns are features (y_j h_i(x_j)).
+    Solves max t subject to abstain @ lam = 0, margin_rows @ lam >= t,
+    |lam|_1 <= 1 and -1 <= t <= 1, over the 2n + 1 variables [lam+, lam-, t]
+    with lam = lam+ - lam-.  Returns (lam, t).
+    """
+    k, n = margin_rows.shape
+    obj = np.zeros(2 * n + 1)
+    obj[-1] = 1.0
+    # t - margin_j <= 0 per margin row, then sum(lam+ + lam-) <= 1
+    a_ub = np.vstack([
+        np.hstack([-margin_rows, margin_rows, np.ones((k, 1))]),
+        np.append(np.ones(2 * n), 0.0),
+    ])
+    b_ub = np.append(np.zeros(k), 1.0)
+    a_eq = b_eq = None
+    if abstain.shape[0]:
+        a_eq = np.hstack([abstain, -abstain, np.zeros((abstain.shape[0], 1))])
+        b_eq = np.zeros(abstain.shape[0])
+    lower = np.zeros(2 * n + 1)
+    lower[-1] = -1.0
+    sol = solve(LinearProgram(obj, a_eq, b_eq, lower, np.ones(2 * n + 1), a_ub, b_ub))
+    if sol.status != STATUS_OPTIMAL:
+        raise LpError(f"max-margin LP is {sol.status}")
+    return sol.x[:n] - sol.x[n : 2 * n], float(sol.value)
 
 
 def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
@@ -113,47 +124,7 @@ def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
     if comp.size == 0:
         return np.zeros(n), float("inf")
     a = _correlation_matrix(fm)  # (n, m)
-
-    # variables: [lam+ (n), lam- (n), t, s_j (complement slacks), u (norm slack)]
-    nc = comp.size
-    nv = 2 * n + 1 + nc + 1
-    obj = np.zeros(nv)
-    obj[2 * n] = 1.0
-    rows = []
-    rhs = []
-    core_idx = np.flatnonzero(mask)
-    for j in core_idx:
-        row = np.zeros(nv)
-        row[:n] = a[:, j]
-        row[n : 2 * n] = -a[:, j]
-        rows.append(row)
-        rhs.append(0.0)
-    for k, j in enumerate(comp):
-        row = np.zeros(nv)
-        row[:n] = a[:, j]
-        row[n : 2 * n] = -a[:, j]
-        row[2 * n] = -1.0
-        row[2 * n + 1 + k] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    norm_row = np.zeros(nv)
-    norm_row[: 2 * n] = 1.0
-    norm_row[-1] = 1.0
-    rows.append(norm_row)
-    rhs.append(1.0)
-
-    lower = np.zeros(nv)
-    lower[2 * n] = -1.0
-    upper = np.full(nv, np.inf)
-    upper[: 2 * n] = 1.0
-    upper[2 * n] = 1.0
-    upper[-1] = 1.0
-
-    sol = solve(LinearProgram(obj, np.array(rows), np.array(rhs), lower, upper))
-    if sol.status != STATUS_OPTIMAL:
-        raise LpError(f"separator LP is {sol.status}")
-    lam = sol.x[:n] - sol.x[n : 2 * n]
-    t = float(sol.value)
+    lam, t = _max_margin(a[:, mask].T, a[:, comp].T)
     if t <= 1e-9:
         raise HardCoreInconsistencyError(
             f"separator margin {t:g} is not positive: core/complement mismatch"

@@ -1,11 +1,9 @@
-"""Dense linear programs in equality-plus-bounds form.
+"""Dense linear programs with equality rows, inequality rows and bounds.
 
-Problems are stated as: maximize c @ x subject to a_eq @ x = b_eq and
-lower <= x <= upper (extended-real bounds).  Solving is delegated to
-scipy's HiGHS simplex, which is deterministic and handles bounded
-variables and degenerate polytopes natively; the surface here stays a
-plain maximize-over-equalities engine so callers can encode inequality
-rows with explicit slack variables.
+Problems are stated as: maximize c @ x subject to a_eq @ x = b_eq,
+a_ub @ x <= b_ub and lower <= x <= upper (extended-real bounds).  Solving
+is delegated to scipy's HiGHS simplex, which is deterministic and handles
+inequality rows, bounded variables and degenerate polytopes natively.
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ class LinearProgram:
     b_eq: np.ndarray | None = None  # (k,)
     lower: np.ndarray | None = None  # defaults to 0
     upper: np.ndarray | None = None  # defaults to +inf
+    a_ub: np.ndarray | None = None  # (k, nv), rows a_ub @ x <= b_ub
+    b_ub: np.ndarray | None = None  # (k,)
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -41,13 +41,16 @@ class LinearProgram:
         nv = c.shape[0]
         if nv > MAX_VARIABLES:
             raise ValueError(f"at most {MAX_VARIABLES} variables supported")
-        if self.a_eq is not None:
-            a = np.asarray(self.a_eq, dtype=float)
-            b = np.asarray(self.b_eq, dtype=float)
+        for kind, a_name, b_name in (("equality", "a_eq", "b_eq"),
+                                     ("inequality", "a_ub", "b_ub")):
+            if getattr(self, a_name) is None:
+                continue
+            a = np.asarray(getattr(self, a_name), dtype=float)
+            b = np.asarray(getattr(self, b_name), dtype=float)
             if a.ndim != 2 or a.shape[1] != nv or b.shape != (a.shape[0],):
-                raise ValueError("equality system shape mismatch")
-            object.__setattr__(self, "a_eq", a)
-            object.__setattr__(self, "b_eq", b)
+                raise ValueError(f"{kind} system shape mismatch")
+            object.__setattr__(self, a_name, a)
+            object.__setattr__(self, b_name, b)
         lo = np.zeros(nv) if self.lower is None else np.asarray(self.lower, dtype=float)
         hi = np.full(nv, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
         if lo.shape != (nv,) or hi.shape != (nv,) or np.any(lo > hi):
@@ -76,6 +79,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; raises LpError only on backend numerical failure."""
     res = linprog(
         -lp.objective,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
         A_eq=lp.a_eq,
         b_eq=lp.b_eq,
         bounds=list(zip(lp.lower, lp.upper)),
@@ -99,16 +104,10 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_T
         resid = np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0)
         if resid > tol * scale:
             raise LpError(f"equality residual {resid:g} exceeds tolerance")
+    if lp.a_ub is not None:
+        excess = (lp.a_ub @ x - lp.b_ub).max(initial=0.0)
+        if excess > tol * scale:
+            raise LpError(f"inequality excess {excess:g} exceeds tolerance")
     if np.any(x < lp.lower - tol * scale) or np.any(x > lp.upper + tol * scale):
         raise LpError("bound violation in reported solution")
 
-
-def dump_tableau(lp: LinearProgram) -> str:
-    """Text rendering of the program data, for CLI debugging."""
-    lines = ["maximize " + " + ".join(f"{c:g}*x{i}" for i, c in enumerate(lp.objective))]
-    if lp.a_eq is not None:
-        for row, rhs in zip(lp.a_eq, lp.b_eq):
-            lines.append(" + ".join(f"{a:g}*x{i}" for i, a in enumerate(row)) + f" = {rhs:g}")
-    for i, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-        lines.append(f"{lo:g} <= x{i} <= {hi:g}")
-    return "\n".join(lines)

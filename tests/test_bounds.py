@@ -17,7 +17,7 @@ from hardcoreboost import (
     surrogate_risk,
     vc_unbounded_bound,
 )
-from hardcoreboost.losses import Loss
+from hardcoreboost.losses import Loss, parse_loss
 
 
 class TestSampleSplit:
@@ -161,6 +161,38 @@ class TestFullRiskBound:
         loss = Loss("exp")
         report = full_risk_bound(inputs, loss)
         assert report.total == pytest.approx(report.psi_term + report.vc_term, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "kwargs, spec, psi_term, vc_term",
+        [
+            # core mass 0: no psi term
+            (dict(m=1000, n=4, delta=0.1, mu_core=0.0), "hinge", 0.0, 0.2672267209044372),
+            # core mass 1: no VC term
+            (dict(m=10**6, n=4, delta=0.1, mu_core=1.0, c=2.0), "exp",
+             0.33951675432336725, 0.0),
+            # m(1 - mu) / 2 < 1, where vc_unbounded_bound itself raises
+            (dict(m=3, n=4, delta=0.1, mu_core=0.5, c=1.5), "hinge",
+             17.647291666441962, 50.31191425754876),
+            (dict(m=1, n=2, delta=0.1, mu_core=0.0), "exp", 0.0, 57.2369228553093),
+            (dict(m=10, n=3, delta=0.2, mu_core=0.9, epsilon=0.01), "exp",
+             4.219630521862294, 57.23692285530931),
+        ],
+    )
+    def test_pinned_edge_values(self, kwargs, spec, psi_term, vc_term):
+        report = full_risk_bound(BoundInputs(**kwargs), parse_loss(spec))
+        assert report.psi_term == pytest.approx(psi_term, rel=1e-14, abs=0.0)
+        assert report.vc_term == pytest.approx(vc_term, rel=1e-14, abs=0.0)
+        assert report.total == pytest.approx(psi_term + vc_term, rel=1e-14, abs=0.0)
+
+    def test_terms_are_the_lemmas(self):
+        inputs = BoundInputs(m=4000, n=6, delta=0.05, mu_core=0.3, c=1.5, epsilon=1e-3)
+        loss = Loss("logistic")
+        dp = inputs.delta / 8.0
+        report = full_risk_bound(inputs, loss, approx_error=0.02)
+        psi = core_classification_bound(loss, 1.5, 6, dp, 1e-3, 4000 * 0.3 / 2, 0.02)
+        vc = vc_unbounded_bound(6, 4000 * 0.7 / 2, 1e-3, 1.0, dp, zero_error=True)
+        assert report.psi_term == pytest.approx(psi.value, rel=1e-15)
+        assert report.vc_term == pytest.approx(vc, rel=1e-15)
 
     def test_precondition_flags(self):
         tiny = BoundInputs(m=10, n=8, delta=0.08, mu_core=0.5, c=2.0)

@@ -52,6 +52,13 @@ class TestHardcoreCommand:
         assert report["core"] == [0, 1, 2]
         assert report["verification"]["dichotomy_violations"] == 0
 
+    def test_removed_debug_flag_is_a_usage_error(self, capsys, three_point):
+        code = run(
+            ["hardcore", str(three_point), "--class", "proj:1", "--seed", "3", "--dump-lp"]
+        )
+        assert code == 2
+        assert "--dump-lp" in capsys.readouterr().err
+
     def test_atomic_output_file(self, capsys, three_point, tmp_path):
         out = tmp_path / "cert.json"
         code = run(

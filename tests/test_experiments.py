@@ -18,6 +18,34 @@ from hardcoreboost import (
 from hardcoreboost.experiments import _LatticePredictor
 from hardcoreboost.hypotheses import LatticeCellClass
 from hardcoreboost.losses import Loss
+from hardcoreboost.lp import STATUS_OPTIMAL, LinearProgram, solve
+
+
+def slack_max_margin(sample):
+    """Max-margin LP in equality form: one slack column per point, |lam|_1 = 1.
+
+    Variables [lam+ (2), lam- (2), t, s_j (m)] with a_j @ lam - t - s_j = 0;
+    kept as an independent oracle for max_margin_2d's inequality-row LP.
+    """
+    a = sample.x * sample.y[:, None]
+    m = a.shape[0]
+    nv = 5 + m
+    obj = np.zeros(nv)
+    obj[4] = 1.0
+    rows = np.zeros((m + 1, nv))
+    rows[:m, :2] = a
+    rows[:m, 2:4] = -a
+    rows[:m, 4] = -1.0
+    rows[np.arange(m), 5 + np.arange(m)] = -1.0
+    rows[m, :4] = 1.0
+    rhs = np.append(np.zeros(m), 1.0)
+    lower = np.zeros(nv)
+    lower[4] = -1.0
+    upper = np.full(nv, np.inf)
+    upper[:5] = 1.0
+    sol = solve(LinearProgram(obj, rows, rhs, lower, upper))
+    assert sol.status == STATUS_OPTIMAL
+    return sol.x[:2] - sol.x[2:4], float(sol.value)
 
 
 class TestBuildStaggered:
@@ -137,6 +165,22 @@ class TestMaxMargin:
             neg_min = margins[s.y < 0].min()
             assert pos_min == pytest.approx(neg_min, abs=1e-8)
             assert min(pos_min, neg_min) == pytest.approx(t, abs=1e-8)
+
+    @pytest.mark.parametrize("depth", [6, 10, 12])
+    def test_agrees_with_slack_form_oracle(self, depth):
+        w = build_staggered(depth)
+        checked = 0
+        for seed in range(12):
+            s = sample_world(w, 20, seed=seed)
+            if len(set(s.y)) < 2:
+                continue
+            lam, t = max_margin_2d(s)
+            lam_ref, t_ref = slack_max_margin(s)
+            assert t == pytest.approx(t_ref, abs=1e-9)
+            assert np.allclose(lam, lam_ref, rtol=0.0, atol=1e-9)
+            assert np.abs(lam).sum() <= 1.0 + 1e-9
+            checked += 1
+        assert checked >= 10
 
     def test_nonseparable_reports_nonpositive(self):
         s = Sample(

@@ -100,13 +100,22 @@ class TestSeparatorCertificate:
     def test_separable_matches_max_margin(self):
         from hardcoreboost import Sample, max_margin_2d
 
-        pts = np.array([[0.875, 1.0], [1.0, 0.7]])
-        labels = np.array([1.0, -1.0])
-        fm = FeatureMatrix(pts, labels)
-        lam, t = separator_certificate(fm, np.array([], dtype=int))
-        lam_mm, t_mm = max_margin_2d(Sample(pts, labels))
-        assert t == pytest.approx(t_mm, abs=1e-7)
-        assert np.allclose(lam, lam_mm, atol=1e-6)
+        # the worked pair, then random samples separable by sign(<w, x>)
+        samples = [(np.array([[0.875, 1.0], [1.0, 0.7]]), np.array([1.0, -1.0]))]
+        rng = np.random.default_rng(6)
+        while len(samples) < 30:
+            w = rng.standard_normal(2)
+            pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 25)), 2))
+            pts = pts[np.abs(pts @ w) > 0.05 * np.linalg.norm(w)]
+            labels = np.sign(pts @ w)
+            if len(set(labels)) == 2:
+                samples.append((pts, labels))
+        for pts, labels in samples:
+            lam, t = separator_certificate(FeatureMatrix(pts, labels), np.array([], dtype=int))
+            lam_mm, t_mm = max_margin_2d(Sample(pts, labels))
+            assert t > 0
+            assert t == pytest.approx(t_mm, abs=1e-7)
+            assert np.allclose(lam, lam_mm, atol=1e-6)
 
     def test_l1_norm_constraint(self):
         rng = np.random.default_rng(2)

@@ -8,6 +8,7 @@ from hardcoreboost.lp import (
     STATUS_UNBOUNDED,
     LinearProgram,
     LpError,
+    _check_feasible,
     solve,
 )
 
@@ -60,6 +61,47 @@ class TestExamples:
         sol = solve(LinearProgram(np.array([1.0])))
         assert sol.status == STATUS_UNBOUNDED
 
+    def test_inequality_row(self):
+        # max x0 + 2 x1 with x0 + x1 <= 1 on the unit box: all mass on x1
+        sol = solve(
+            LinearProgram(
+                np.array([1.0, 2.0]),
+                upper=np.ones(2),
+                a_ub=np.array([[1.0, 1.0]]),
+                b_ub=np.array([1.0]),
+            )
+        )
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.value == pytest.approx(2.0, abs=1e-8)
+        assert np.allclose(sol.x, [0.0, 1.0], atol=1e-8)
+
+    def test_infeasible_inequality(self):
+        sol = solve(
+            LinearProgram(
+                np.array([1.0]),
+                upper=np.array([1.0]),
+                a_ub=np.array([[-1.0]]),
+                b_ub=np.array([-2.0]),
+            )
+        )
+        assert sol.status == STATUS_INFEASIBLE
+
+    def test_inequality_excess_rejected(self):
+        lp = LinearProgram(
+            np.array([1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([1.0])
+        )
+        _check_feasible(lp, np.array([1.0]))
+        with pytest.raises(LpError, match="inequality excess"):
+            _check_feasible(lp, np.array([1.1]))
+
+    def test_inequality_shape_guard(self):
+        with pytest.raises(ValueError, match="inequality system shape mismatch"):
+            LinearProgram(np.ones(2), a_ub=np.ones((1, 3)), b_ub=np.zeros(1))
+        with pytest.raises(ValueError, match="inequality system shape mismatch"):
+            LinearProgram(np.ones(2), a_ub=np.ones((2, 2)), b_ub=np.zeros(1))
+        with pytest.raises(ValueError, match="inequality system shape mismatch"):
+            LinearProgram(np.ones(2), a_ub=np.ones(2), b_ub=np.zeros(1))
+
     def test_dimension_guard(self):
         with pytest.raises((ValueError, LpError)):
             solve(
@@ -71,19 +113,48 @@ class TestExamples:
             )
 
 
-def random_bounded_lp(rng):
+def random_bounded_lp(rng, inequalities=False):
+    """A feasible LP on a box; with inequalities, also 1-2 rows a_ub @ x <= b_ub."""
     n = int(rng.integers(2, 7))
     rows = int(rng.integers(0, min(3, n - 1) + 1))
     c = rng.normal(size=n)
     lower = np.zeros(n)
     upper = rng.uniform(0.5, 2.0, size=n)
+    interior = None
     if rows:
         a = rng.integers(-1, 2, size=(rows, n)).astype(float)
         interior = lower + rng.uniform(0.1, 0.9, size=n) * (upper - lower)
         b = a @ interior  # guarantees feasibility
     else:
         a, b = None, None
-    return LinearProgram(c, a, b, lower, upper)
+    a_ub = b_ub = None
+    if inequalities:
+        if interior is None:
+            interior = lower + rng.uniform(0.1, 0.9, size=n) * (upper - lower)
+        k = int(rng.integers(1, 3))
+        a_ub = rng.integers(-1, 2, size=(k, n)).astype(float)
+        b_ub = a_ub @ interior + rng.uniform(0.0, 0.5, size=k)  # interior stays feasible
+    return LinearProgram(c, a, b, lower, upper, a_ub, b_ub)
+
+
+def lp_vertices(lp):
+    """Vertices of the feasible set, by enumeration over its equality form.
+
+    Each inequality row a_i @ x <= b_i becomes a_i @ x + s_i = b_i with a
+    slack column s_i >= 0; the slacks are dropped from the returned vertices.
+    """
+    nv = lp.n_vars
+    a = lp.a_eq if lp.a_eq is not None else np.zeros((0, nv))
+    b = lp.b_eq if lp.b_eq is not None else np.zeros(0)
+    lower, upper = lp.lower, lp.upper
+    if lp.a_ub is not None:
+        k = lp.a_ub.shape[0]
+        a = np.vstack([np.hstack([a, np.zeros((a.shape[0], k))]),
+                       np.hstack([lp.a_ub, np.eye(k)])])
+        b = np.concatenate([b, lp.b_ub])
+        lower = np.concatenate([lower, np.zeros(k)])
+        upper = np.concatenate([upper, np.full(k, np.inf)])
+    return box_vertices(a, b, lower, upper)[:, :nv]
 
 
 def test_agreement_with_vertex_enumeration():
@@ -92,10 +163,21 @@ def test_agreement_with_vertex_enumeration():
         lp = random_bounded_lp(rng)
         sol = solve(lp)
         assert sol.status == STATUS_OPTIMAL
-        a = lp.a_eq if lp.a_eq is not None else np.zeros((0, lp.objective.size))
-        b = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-        verts = box_vertices(a, b, lp.lower, lp.upper)
+        verts = lp_vertices(lp)
         assert verts.shape[0] > 0
+        brute = float(np.max(verts @ lp.objective))
+        assert sol.value == pytest.approx(brute, abs=1e-7)
+
+
+def test_inequality_agreement_with_vertex_enumeration():
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        lp = random_bounded_lp(rng, inequalities=True)
+        sol = solve(lp)
+        assert sol.status == STATUS_OPTIMAL
+        verts = lp_vertices(lp)
+        assert verts.shape[0] > 0
+        assert np.all(verts @ lp.a_ub.T <= lp.b_ub + 1e-7)  # vertices are rounded to 1e-9
         brute = float(np.max(verts @ lp.objective))
         assert sol.value == pytest.approx(brute, abs=1e-7)
 
@@ -105,9 +187,7 @@ def test_weak_duality_feasible_points():
     for _ in range(30):
         lp = random_bounded_lp(rng)
         sol = solve(lp)
-        a = lp.a_eq if lp.a_eq is not None else np.zeros((0, lp.objective.size))
-        b = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-        verts = box_vertices(a, b, lp.lower, lp.upper)
+        verts = lp_vertices(lp)
         # convex combinations of vertices are feasible
         for _ in range(10):
             w = rng.dirichlet(np.ones(verts.shape[0]))
@@ -127,12 +207,14 @@ def test_determinism():
 
 def test_solution_feasibility_contract():
     rng = np.random.default_rng(3)
-    for _ in range(30):
-        lp = random_bounded_lp(rng)
+    for i in range(60):
+        lp = random_bounded_lp(rng, inequalities=i >= 30)
         sol = solve(lp)
         assert sol.status == STATUS_OPTIMAL
         assert np.all(sol.x >= lp.lower - 1e-8)
         assert np.all(sol.x <= lp.upper + 1e-8)
         if lp.a_eq is not None:
             assert np.max(np.abs(lp.a_eq @ sol.x - lp.b_eq)) <= 1e-8
+        if lp.a_ub is not None:
+            assert np.max(lp.a_ub @ sol.x - lp.b_ub) <= 1e-8
         assert abs(float(lp.objective @ sol.x) - sol.value) <= 1e-8
