@@ -1,8 +1,15 @@
-"""One-dimensional search helpers shared across the package."""
+"""One-dimensional search helpers shared across the package.
+
+golden_min and golden_max search one scalar bracket.  bisect_root runs
+independent bisections elementwise over arrays of brackets, so a batch of
+monotone root problems costs one call.
+"""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -44,19 +51,35 @@ def golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float
     return x, -v
 
 
-def bisect_root(g, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400) -> float:
-    """Root of a nondecreasing function g on [lo, hi] with g(lo) <= 0 <= g(hi)."""
+def bisect_root(g, lo, hi, tol: float = 1e-12, max_iter: int = 400):
+    """Roots of a nondecreasing function g with g(lo) <= 0 <= g(hi), elementwise.
+
+    lo, hi and g(x) may be arrays; they broadcast to one shape, and g must
+    map an array of that shape to values of that shape.  Each element is
+    its own bisection: it returns lo when g(lo) > 0, hi when g(hi) < 0, and
+    otherwise the midpoint of its bracket once the bracket is at most tol
+    wide or after max_iter halvings.  A scalar problem returns a float.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     glo, ghi = g(lo), g(hi)
-    if glo > 0:
-        return lo
-    if ghi < 0:
-        return hi
+    shape = np.broadcast_shapes(lo.shape, hi.shape, np.shape(glo), np.shape(ghi))
+    lo = np.broadcast_to(lo, shape).copy()
+    hi = np.broadcast_to(hi, shape).copy()
+    below = np.broadcast_to(glo > 0, shape)
+    above = ~below & (ghi < 0)
+    root = np.where(below, lo, hi)
+    active = ~(below | above)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        done = active & (hi - lo <= tol)
+        root[done] = mid[done]
+        active &= ~done
+        if not active.any():
+            break
+        neg = g(mid) < 0
+        np.copyto(lo, mid, where=active & neg)
+        np.copyto(hi, mid, where=active & ~neg)
+    else:
+        root[active] = 0.5 * (lo + hi)[active]
+    return float(root) if root.ndim == 0 else root

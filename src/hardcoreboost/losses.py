@@ -94,14 +94,13 @@ class Loss:
         """
         za = np.asarray(z, dtype=float)
         if self.kind == "exp":
-            g, _ = _exp_clamped(za)
+            g = np.exp(np.minimum(za, EXP_CLAMP))
         elif self.kind == "logistic":
             g = expit(za)
         elif self.kind == "hinge":
             g = np.where(za > -1.0, 1.0, 0.0)
         else:
-            e, _ = _exp_clamped(za)
-            g = self.c1 * expit(za) + self.c2 * e
+            g = self.c1 * expit(za) + self.c2 * np.exp(np.minimum(za, EXP_CLAMP))
         return _scalar_like(g, z)
 
     def max_subgradient(self, z) -> float:
@@ -112,13 +111,20 @@ class Loss:
         return float(self.subgradient(z))
 
     def conjugate(self, g):
-        """Fenchel conjugate phi*(g) = sup_z gz - phi(z), extended-real valued."""
-        ga = np.atleast_1d(np.asarray(g, dtype=float))
-        out = np.full_like(ga, np.inf)
+        """Fenchel conjugate phi*(g) = sup_z gz - phi(z), extended-real valued.
+
+        Accepts a scalar or an array of any shape and returns the same shape;
+        g = +inf and g outside the domain give +inf.  The two-sided cone has
+        no closed form: its maximizer solves phi'(z) = g, and one elementwise
+        bisect_root call finds it for every positive entry at once.
+        """
+        ga = np.asarray(g, dtype=float)
+        out = np.full(ga.shape, np.inf)
         if self.kind == "exp":
-            dom = ga >= 0
+            dom = (ga >= 0) & (ga < np.inf)
+            gd = ga[dom]
             with np.errstate(divide="ignore", invalid="ignore"):
-                out[dom] = np.where(ga[dom] > 0, ga[dom] * np.log(ga[dom]) - ga[dom], 0.0)
+                out[dom] = np.where(gd > 0, gd * np.log(gd) - gd, 0.0)
         elif self.kind == "logistic":
             dom = (ga >= 0) & (ga <= 1)
             gd = ga[dom]
@@ -130,26 +136,19 @@ class Loss:
         elif self.kind == "hinge":
             dom = (ga >= 0) & (ga <= 1)
             out[dom] = -ga[dom]
+        elif self.c1 == 0:
+            return self.c2 * Loss("exp").conjugate(ga / self.c2)
+        elif self.c2 == 0:
+            return self.c1 * Loss("logistic").conjugate(ga / self.c1)
         else:
-            if self.c1 == 0:
-                return self.c2 * Loss("exp").conjugate(np.asarray(g) / self.c2)
-            if self.c2 == 0:
-                return self.c1 * Loss("logistic").conjugate(np.asarray(g) / self.c1)
-            for i, gi in enumerate(ga):
-                out[i] = self._cone_conjugate_scalar(gi)
-        if np.ndim(g) == 0:
-            return float(out[0])
-        return out
-
-    def _cone_conjugate_scalar(self, g: float) -> float:
-        # phi' = c1 sigmoid + c2 exp is increasing from 0 to infinity, so for
-        # g > 0 the supremum of gz - phi(z) is attained where phi'(z) = g.
-        if g < 0:
-            return math.inf
-        if g == 0:
-            return 0.0
-        zstar = bisect_root(lambda z: float(self.subgradient(z)) - g, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0)
-        return g * zstar - float(self.value(zstar))
+            # phi' = c1 sigmoid + c2 exp is increasing from 0 to infinity, so
+            # for g > 0 the supremum of gz - phi(z) is attained where phi'(z) = g.
+            out[ga == 0] = 0.0
+            pos = ga > 0
+            gp = ga[pos]
+            zstar = bisect_root(lambda z: self.subgradient(z) - gp, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0)
+            out[pos] = gp * zstar - self.value(zstar)
+        return _scalar_like(out, g)
 
 
 def parse_loss(spec: str) -> Loss:

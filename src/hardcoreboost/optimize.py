@@ -108,12 +108,15 @@ def _line_search(fm: FeatureMatrix, loss: Loss, lam, direction, tol: float = 1e-
     the slope stays negative out to STEP_CAP the step is truncated there.
     """
     feats_dir = fm.features @ direction
-    base = fm.features @ np.asarray(lam, dtype=float)
+    # Labels are +-1, so these products are exact and every slope rounds as
+    # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
+    neg_y = -fm.labels
+    z_base = neg_y * (fm.features @ np.asarray(lam, dtype=float))
+    z_dir = neg_y * feats_dir
+    w_neg_y = fm.weights * neg_y
 
     def slope(s: float) -> float:
-        z = -fm.labels * (base + s * feats_dir)
-        coeff = fm.weights * loss.subgradient(z) * (-fm.labels)
-        return float(coeff @ feats_dir)
+        return float((w_neg_y * loss.subgradient(z_base + s * z_dir)) @ feats_dir)
 
     hi = 1.0
     while slope(hi) < 0.0:

@@ -94,3 +94,21 @@ def grid_min_risk(fm, loss, radius=6.0, steps=241):
         vals = (fm.weights[:, None, None] * loss.value(z)).sum(axis=0)
         best = float(vals.min())
     return float(best)
+
+
+def scalar_bisect_root(g, lo, hi, tol=1e-12, max_iter=400):
+    """One scalar bisection per call; the elementwise bisect_root must match it bit for bit."""
+    glo, ghi = g(lo), g(hi)
+    if glo > 0:
+        return lo
+    if ghi < 0:
+        return hi
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import scalar_bisect_root
 from hypothesis import strategies as st
 
 from hardcoreboost.losses import (
@@ -20,6 +21,18 @@ ALL_KINDS = [Loss("exp"), Loss("logistic"), Loss("hinge"), Loss("cone", c1=0.7, 
 def grid_conjugate(loss, g, lo=-60.0, hi=60.0, steps=600001):
     z = np.linspace(lo, hi, steps)
     return float(np.max(g * z - loss.value(z)))
+
+
+def per_element_cone_conjugate(loss, g):
+    """The two-sided cone conjugate by one scalar bisection per element."""
+    if g < 0:
+        return math.inf
+    if g == 0:
+        return 0.0
+    zstar = scalar_bisect_root(
+        lambda z: float(loss.subgradient(z)) - g, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0
+    )
+    return g * zstar - float(loss.value(zstar))
 
 
 class TestValues:
@@ -141,6 +154,30 @@ class TestConjugate:
         assert out[0] == 0.0
         assert out[1] == pytest.approx(-math.log(2), abs=1e-12)
         assert out[2] == math.inf
+
+    @pytest.mark.parametrize("c1,c2", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.01)])
+    def test_cone_matches_per_element_oracle(self, c1, c2):
+        loss = Loss("cone", c1=c1, c2=c2)
+        rng = np.random.default_rng(4)
+        edges = [0.0, -0.0, -1.0, -1e-300, -np.inf, 5e-324, 1e-310, 1e-200, 1e305, np.inf]
+        g = np.concatenate([edges, 10.0 ** rng.uniform(-320, 305, 1000), rng.uniform(0, 3, 990)])
+        got = loss.conjugate(g)
+        want = np.array([per_element_cone_conjugate(loss, gi) for gi in g])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert loss.conjugate(0.7) == per_element_cone_conjugate(loss, 0.7)
+
+    @pytest.mark.parametrize("loss", ALL_KINDS + [Loss("cone", c1=0.0, c2=2.0)], ids=str)
+    def test_shape_is_kept(self, loss):
+        g = np.array([[0.0, 0.25, 0.5], [2.0, -1.0, 0.75]])
+        out = loss.conjugate(g)
+        assert out.shape == g.shape
+        assert np.array_equal(out, loss.conjugate(g.ravel()).reshape(g.shape))
+
+    @pytest.mark.parametrize("loss", ALL_KINDS, ids=str)
+    def test_infinite_argument_infinite(self, loss):
+        assert loss.conjugate(math.inf) == math.inf
+        out = loss.conjugate(np.array([0.5, math.inf]))
+        assert out[1] == math.inf and np.isfinite(out[0])
 
     def test_fenchel_young_equality_at_subgradient(self):
         rng = np.random.default_rng(0)

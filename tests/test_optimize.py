@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -17,10 +18,41 @@ from hardcoreboost import (
 )
 from hardcoreboost.experiments import build_staggered, sample_world
 from hardcoreboost.losses import Loss, UnsupportedLossError
+from hardcoreboost.optimize import STEP_CAP, _line_search
 
 
 def duplicated_point_fm():
     return FeatureMatrix(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+
+
+def oracle_line_search(fm, loss, lam, direction, tol=1e-10):
+    """The line search with every slope formed from scratch, as -y (H lam + s H d)."""
+    feats_dir = fm.features @ direction
+    base = fm.features @ np.asarray(lam, dtype=float)
+
+    def slope(s):
+        z = -fm.labels * (base + s * feats_dir)
+        coeff = fm.weights * loss.subgradient(z) * (-fm.labels)
+        return float(coeff @ feats_dir)
+
+    hi = 1.0
+    while slope(hi) < 0.0:
+        hi *= 2.0
+        if hi >= STEP_CAP:
+            return STEP_CAP, True
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), False
+
+
+# the package's `optimize` attribute is the function, not the module
+optimize_module = importlib.import_module("hardcoreboost.optimize")
+CD_LOSSES = [Loss("exp"), Loss("logistic"), Loss("cone", c1=1.0, c2=1.0)]
 
 
 class TestSubgradientDescent:
@@ -138,6 +170,43 @@ class TestCoordinateDescent:
             assert run.iterations == 1
             assert np.array_equal(run.lam, init)
             assert run.grad_sup_trace.size == 0  # stopped before any gradient
+
+
+class TestLineSearchOracle:
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    def test_random_directions_match(self, loss):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            m, n = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+            fm = FeatureMatrix(rng.uniform(-1, 1, (m, n)), rng.choice([-1.0, 1.0], m))
+            lam = rng.normal(scale=3.0, size=n)
+            direction = rng.normal(size=n)
+            assert _line_search(fm, loss, lam, direction) == oracle_line_search(
+                fm, loss, lam, direction
+            )
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    def test_truncated_step_matches(self, loss):
+        # a direction that raises every margin by ~1e-19 per unit step keeps
+        # the slope negative out to STEP_CAP
+        fm = FeatureMatrix(np.array([[1e-19], [-2e-19], [3e-19]]), np.array([1.0, -1.0, 1.0]))
+        got = _line_search(fm, loss, np.zeros(1), np.ones(1))
+        assert got == oracle_line_search(fm, loss, np.zeros(1), np.ones(1))
+        assert got == (STEP_CAP, True)
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    def test_coordinate_descent_iterates_match(self, loss, monkeypatch):
+        rng = np.random.default_rng(6)
+        problems = [random_sign_problem(rng, m_max=40, n_max=5) for _ in range(4)]
+        problems.append(FeatureMatrix(rng.uniform(-1, 1, (200, 6)), rng.choice([-1.0, 1.0], 200)))
+        cfg = OptimizerConfig(max_iters=150)
+        runs = [coordinate_descent(fm, loss, cfg) for fm in problems]
+        monkeypatch.setattr(optimize_module, "_line_search", oracle_line_search)
+        for fm, run in zip(problems, runs):
+            want = coordinate_descent(fm, loss, cfg)
+            assert np.array_equal(run.lam, want.lam)
+            assert np.array_equal(run.objective_trace, want.objective_trace)
+            assert run.truncated_steps == want.truncated_steps
 
 
 class TestOracleContract:
