@@ -103,6 +103,28 @@ class Loss:
             g = self.c1 * expit(za) + self.c2 * np.exp(np.minimum(za, EXP_CLAMP))
         return _scalar_like(g, z)
 
+    def derivatives(self, z):
+        """(phi'(z), phi''(z)) from one exp or sigmoid pass; hinge has no phi''.
+
+        phi' is bit-identical to subgradient(z).  phi'' is exp(z) for exp,
+        s (1 - s) with s = sigmoid(z) for logistic, and c1 s (1 - s) + c2 exp(z)
+        for the cone; exp terms are clamped at EXP_CLAMP as in subgradient.
+        """
+        if self.kind == "hinge":
+            raise UnsupportedLossError("hinge has no second derivative")
+        za = np.asarray(z, dtype=float)
+        if self.kind == "exp":
+            d1 = d2 = np.exp(np.minimum(za, EXP_CLAMP))
+        elif self.kind == "logistic":
+            d1 = expit(za)
+            d2 = d1 * (1.0 - d1)
+        else:
+            s = expit(za)
+            e = np.exp(np.minimum(za, EXP_CLAMP))
+            d1 = self.c1 * s + self.c2 * e
+            d2 = self.c1 * (s * (1.0 - s)) + self.c2 * e
+        return _scalar_like(d1, z), _scalar_like(d2, z)
+
     def max_subgradient(self, z) -> float:
         """sup{|g| : g in the subdifferential at z}; the local Lipschitz constant."""
         z = float(z)

@@ -2,9 +2,12 @@
 
 Two methods are provided: subgradient descent for the hinge loss (Lipschitz
 and infimum-attaining) and greedy coordinate descent with exact line search
-for the exponential/logistic cone (the AdaBoost regime).  Dual lower bounds
-from decorrelating reweightings turn iterates into suboptimality
-certificates.
+for the exponential/logistic cone (the AdaBoost regime).  The line search
+is a safeguarded Newton iteration on the slope, using the loss's second
+derivative, that certifies a sign change on a bracket of width tol.  Each
+iteration of either method forms the margins H lam once and takes the
+objective and the gradient from them.  Dual lower bounds from
+decorrelating reweightings turn iterates into suboptimality certificates.
 """
 
 from __future__ import annotations
@@ -56,8 +59,13 @@ class OptRun:
         return float(self.objective_trace[-1])
 
 
-def _risk_gradient(fm: FeatureMatrix, loss: Loss, lam: np.ndarray) -> np.ndarray:
-    z = -margins(fm, lam)
+# Both optimizers form z = -y (H lam) once per iteration and take the
+# objective and the gradient at lam from it.
+def _objective(fm: FeatureMatrix, loss: Loss, z: np.ndarray) -> float:
+    return float(np.sum(fm.weights * loss.value(z)))
+
+
+def _risk_gradient(fm: FeatureMatrix, loss: Loss, z: np.ndarray) -> np.ndarray:
     coeff = fm.weights * loss.subgradient(z) * (-fm.labels)
     return fm.features.T @ coeff
 
@@ -71,20 +79,22 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     lam = np.zeros(fm.n)
     best_lam = lam.copy()
     best_obj = surrogate_risk(fm, lam, loss)
+    z = -margins(fm, lam)
     objs = [best_obj]
     grads = []
     norms = [0.0]
     stop = "iterations"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = _risk_gradient(fm, loss, lam)
+        g = _risk_gradient(fm, loss, z)
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
         lam = lam - (cfg.step_scale / math.sqrt(it)) * g
-        obj = surrogate_risk(fm, lam, loss)
+        z = -margins(fm, lam)
+        obj = _objective(fm, loss, z)
         objs.append(obj)
         norms.append(float(np.abs(lam).sum()))
         if obj < best_obj:
@@ -101,35 +111,73 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     )
 
 
-def _line_search(fm: FeatureMatrix, loss: Loss, lam, direction, tol: float = 1e-10):
-    """Exact 1-D minimization along a descent ray via bisection on the slope.
+def _line_search(
+    fm: FeatureMatrix,
+    loss: Loss,
+    lam,
+    direction,
+    tol: float = 1e-10,
+    *,
+    z_base=None,
+    feats_dir=None,
+):
+    """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
     Returns (step, truncated).  The bracket grows geometrically from 1; when
     the slope stays negative out to STEP_CAP the step is truncated there.
+    Inside the bracket lo < hi, slope(lo) < 0 <= slope(hi), where lo may be
+    the unevaluated start of the ray.  A Newton step from the last point is
+    taken when it lands strictly inside the bracket and is at most half the
+    step before last (the rtsafe rule); otherwise the bracket is bisected.
+    A Newton step shorter than tol / 2 is carried tol / 4 past its root, so
+    one more slope certifies a sign change on a bracket of width <= tol.
+    That bracket's midpoint is returned, as a bisection to width tol would;
+    a bracket whose ends are adjacent doubles ends the search as well.
+
+    A caller that holds z_base = -y (H lam) and feats_dir = H direction
+    passes them; they are computed from lam and direction otherwise.
     """
-    feats_dir = fm.features @ direction
+    if feats_dir is None:
+        feats_dir = fm.features @ direction
     # Labels are +-1, so these products are exact and every slope rounds as
     # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
     neg_y = -fm.labels
-    z_base = neg_y * (fm.features @ np.asarray(lam, dtype=float))
+    if z_base is None:
+        z_base = neg_y * (fm.features @ np.asarray(lam, dtype=float))
     z_dir = neg_y * feats_dir
     w_neg_y = fm.weights * neg_y
+    w_dir_sq = fm.weights * (feats_dir * feats_dir)
 
-    def slope(s: float) -> float:
-        return float((w_neg_y * loss.subgradient(z_base + s * z_dir)) @ feats_dir)
+    def slope_curvature(s: float) -> tuple[float, float]:
+        d1, d2 = loss.derivatives(z_base + s * z_dir)
+        return float((w_neg_y * d1) @ feats_dir), float(w_dir_sq @ d2)
 
     hi = 1.0
-    while slope(hi) < 0.0:
+    f, df = slope_curvature(hi)
+    while f < 0.0:
         hi *= 2.0
         if hi >= STEP_CAP:
             return STEP_CAP, True
-    lo = 0.0
+        f, df = slope_curvature(hi)
+    lo = 0.5 * hi if hi > 1.0 else 0.0
+    s = hi
+    last = before_last = math.inf
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
+        dx = f / df if df > 0.0 else math.inf
+        x = s - dx
+        if abs(dx) <= 0.5 * tol:
+            x += -0.25 * tol if f >= 0.0 else 0.25 * tol
+        if not (lo < x < hi and abs(x - s) <= 0.5 * before_last):
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break  # lo and hi are adjacent doubles
+        before_last, last = last, abs(x - s)
+        s = x
+        f, df = slope_curvature(s)
+        if f < 0.0:
+            lo = s
         else:
-            hi = mid
+            hi = s
     return 0.5 * (lo + hi), False
 
 
@@ -151,6 +199,7 @@ def coordinate_descent(
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
     lam = np.zeros(fm.n) if init is None else np.asarray(init, dtype=float).copy()
     objs = [surrogate_risk(fm, lam, loss)]
+    z = -margins(fm, lam)
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
@@ -160,7 +209,7 @@ def coordinate_descent(
         if target is not None and objs[-1] <= target:
             stop = "target"
             break
-        g = _risk_gradient(fm, loss, lam)
+        g = _risk_gradient(fm, loss, z)
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
@@ -169,10 +218,14 @@ def coordinate_descent(
         i = int(np.argmax(np.abs(g)))
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
-        step, was_truncated = _line_search(fm, loss, lam, direction)
+        # H times the one-hot direction is exactly the signed column i
+        step, was_truncated = _line_search(
+            fm, loss, lam, direction, z_base=z, feats_dir=direction[i] * fm.features[:, i]
+        )
         truncated += was_truncated
         lam = lam + step * direction
-        objs.append(surrogate_risk(fm, lam, loss))
+        z = -margins(fm, lam)
+        objs.append(_objective(fm, loss, z))
         norms.append(float(np.abs(lam).sum()))
     return OptRun(
         lam,

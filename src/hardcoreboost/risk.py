@@ -80,8 +80,10 @@ def margins(fm: FeatureMatrix, lam) -> np.ndarray:
 
 def surrogate_risk(fm: FeatureMatrix, lam, loss: Loss, region=None) -> float:
     """Mass-weighted sum of phi(-y (H lam)(x)) over the region (full if None)."""
-    mask = region_to_mask(region, fm.m)
     z = -margins(fm, lam)
+    if region is None:
+        return float(np.sum(fm.weights * loss.value(z)))
+    mask = region_to_mask(region, fm.m)
     return float(np.sum(fm.weights[mask] * loss.value(z[mask])))
 
 

@@ -99,6 +99,30 @@ class TestSubgradients:
         assert h.max_subgradient(3.0) == 1.0
 
 
+class TestDerivatives:
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "cone:0.7,1.3", "cone:1,0", "cone:0,2"])
+    def test_first_is_subgradient_second_is_its_slope(self, spec):
+        loss = parse_loss(spec)
+        z = np.concatenate([np.linspace(-30.0, 30.0, 241), [-800.0, 0.0, 701.0]])
+        d1, d2 = loss.derivatives(z)
+        assert np.array_equal(d1, loss.subgradient(z))
+        # central differences of a sigmoid near 1 keep only ~1e-11 absolute
+        h = 1e-5
+        central = (loss.subgradient(z + h) - loss.subgradient(z - h)) / (2.0 * h)
+        inner = np.abs(z) <= 30.0
+        np.testing.assert_allclose(d2[inner], central[inner], rtol=1e-8, atol=1e-10)
+        assert np.all(d2 >= 0.0)
+
+    def test_scalar_in_scalar_out(self):
+        d1, d2 = Loss("logistic").derivatives(0.0)
+        assert (d1, d2) == (0.5, 0.25)
+        assert isinstance(d1, float) and isinstance(d2, float)
+
+    def test_hinge_has_no_second_derivative(self):
+        with pytest.raises(UnsupportedLossError):
+            Loss("hinge").derivatives(np.zeros(3))
+
+
 @pytest.mark.parametrize("spec", ["logistic", "cone:1,1"])
 class TestExtremeArguments:
     """The sigmoid and softplus kernels neither overflow nor lose accuracy."""

@@ -66,6 +66,16 @@ class TestSurrogateRisk:
         with pytest.raises(ValueError):
             surrogate_risk(fm, np.zeros(3), Loss("exp"))
 
+    def test_full_region_is_bitwise_the_full_sample(self):
+        rng = np.random.default_rng(4)
+        for m in (1, 7, 300):
+            fm = random_fm(rng, m=m)
+            lam = rng.normal(scale=4.0, size=fm.n)
+            for loss in (Loss("exp"), Loss("logistic"), Loss("hinge"), Loss("cone", c1=1, c2=2)):
+                full = surrogate_risk(fm, lam, loss)
+                assert full == surrogate_risk(fm, lam, loss, region=np.ones(m, dtype=bool))
+                assert full == surrogate_risk(fm, lam, loss, region=np.arange(m))
+
 
 class TestClassificationRisk:
     def test_tie_predicts_positive(self):
