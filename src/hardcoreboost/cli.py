@@ -49,14 +49,6 @@ def _emit(report: dict, out: str | None, no_timestamp: bool):
         sys.stdout.write(text)
 
 
-def _jsonable(x):
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 def cmd_train(args) -> dict:
     sample = load_sample_csv(args.dataset)
     cls = parse_class_spec(args.cls)

@@ -9,6 +9,7 @@ feature tables.
 from __future__ import annotations
 
 import abc
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,52 @@ MAX_LATTICE_CELLS = 10**6
 
 class ResourceLimitError(ValueError):
     """Raised when a requested class would exceed the enumeration budget."""
+
+
+def _point_masses(labels: np.ndarray, weights) -> np.ndarray:
+    """Check labels in {-1, +1} and return the point masses (uniform if None)."""
+    if labels.size == 0:
+        raise ValueError("sample is empty")
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if weights is None:
+        return np.full(labels.size, 1.0 / labels.size)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != labels.shape or np.any(w < 0):
+        raise ValueError("weights must be nonnegative, one per point")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError("weights must sum to 1")
+    return w
+
+
+def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
+    """A comma-separated numeric table and its header tokens (None if absent).
+
+    The first line is a header unless all its nonempty fields parse as
+    numbers.  Quoted fields parse as numbers, empty lines are skipped, and
+    a row whose field count differs from the others (or from the header)
+    is an error, as is a file without data rows.
+    """
+    with open(path) as fh:
+        first = fh.readline()
+        header = [tok.strip().strip('"') for tok in first.split(",")]
+        try:
+            [float(tok) for tok in header if tok]
+        except ValueError:
+            pass  # a header: the table starts on the next line
+        else:
+            header = None
+            fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data: raised below
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"')
+    if table.shape[0] == 0:
+        raise ValueError(f"{path}: no data rows")
+    if header is not None and len(header) != table.shape[1]:
+        raise ValueError(
+            f"{path}: the header has {len(header)} fields, the rows {table.shape[1]}"
+        )
+    return header, table
 
 
 @dataclass(frozen=True)
@@ -42,17 +89,7 @@ class FeatureMatrix:
             raise ValueError("features must be (m, n) with matching labels")
         if not np.all(np.abs(f) <= 1.0 + 1e-12):
             raise ValueError("feature entries must lie in [-1, +1]")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        if self.weights is None:
-            w = np.full(f.shape[0], 1.0 / f.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != y.shape or np.any(w < 0):
-                raise ValueError("weights must be nonnegative, one per point")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _point_masses(y, self.weights))
 
     @property
     def m(self) -> int:
@@ -225,17 +262,6 @@ def parse_class_spec(spec: str) -> HypothesisClass:
         res, _, dim = spec.split(":", 1)[1].partition("x")
         return LatticeCellClass(int(res), int(dim))
     if spec.startswith("explicit:"):
-        path = spec.split(":", 1)[1]
-        table = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=_csv_has_header(path))
+        _, table = _read_csv(spec.split(":", 1)[1])
         return ExplicitClass(table.shape[1], table=table)
     raise ValueError(f"unknown class spec {spec!r}")
-
-
-def _csv_has_header(path: str) -> int:
-    with open(path) as fh:
-        first = fh.readline()
-    try:
-        [float(tok) for tok in first.strip().split(",") if tok]
-        return 0
-    except ValueError:
-        return 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import golden_max
-from .hardcore import HardCoreCertificate
+from .hardcore import HardCoreCertificate, _correlation_matrix
 from .hypotheses import FeatureMatrix
 from .losses import Loss, UnsupportedLossError
 from .risk import margins, surrogate_risk
@@ -111,17 +111,11 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     )
 
 
-def _line_search(
-    fm: FeatureMatrix,
-    loss: Loss,
-    lam,
-    direction,
-    tol: float = 1e-10,
-    *,
-    z_base=None,
-    feats_dir=None,
-):
+def _line_search(fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
+
+    The ray starts at lam with z_base = -y (H lam) and moves along a
+    direction d with feats_dir = H d.
 
     Returns (step, truncated).  The bracket grows geometrically from 1; when
     the slope stays negative out to STEP_CAP the step is truncated there.
@@ -133,17 +127,10 @@ def _line_search(
     one more slope certifies a sign change on a bracket of width <= tol.
     That bracket's midpoint is returned, as a bisection to width tol would;
     a bracket whose ends are adjacent doubles ends the search as well.
-
-    A caller that holds z_base = -y (H lam) and feats_dir = H direction
-    passes them; they are computed from lam and direction otherwise.
     """
-    if feats_dir is None:
-        feats_dir = fm.features @ direction
     # Labels are +-1, so these products are exact and every slope rounds as
     # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
     neg_y = -fm.labels
-    if z_base is None:
-        z_base = neg_y * (fm.features @ np.asarray(lam, dtype=float))
     z_dir = neg_y * feats_dir
     w_neg_y = fm.weights * neg_y
     w_dir_sq = fm.weights * (feats_dir * feats_dir)
@@ -219,9 +206,7 @@ def coordinate_descent(
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
         # H times the one-hot direction is exactly the signed column i
-        step, was_truncated = _line_search(
-            fm, loss, lam, direction, z_base=z, feats_dir=direction[i] * fm.features[:, i]
-        )
+        step, was_truncated = _line_search(fm, loss, z, direction[i] * fm.features[:, i])
         truncated += was_truncated
         lam = lam + step * direction
         z = -margins(fm, lam)
@@ -254,8 +239,7 @@ def dual_lower_bound(fm: FeatureMatrix, loss: Loss, p) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (fm.m,) or np.any(p < 0):
         raise ValueError("p must be a nonnegative vector, one entry per point")
-    a = (fm.features * fm.labels[:, None]).T
-    viol = float(np.abs(a @ p).max(initial=0.0))
+    viol = float(np.abs(_correlation_matrix(fm) @ p).max(initial=0.0))
     if viol > DECORRELATION_TOL:
         raise ValueError(f"p is not decorrelating: max violation {viol:g}")
     conj = np.asarray(loss.conjugate(p), dtype=float)

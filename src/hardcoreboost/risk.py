@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import golden_min
-from .hypotheses import FeatureMatrix
+from .hypotheses import FeatureMatrix, _point_masses, _read_csv
 from .losses import Loss
 
 # Search bracket for per-instance optimal predictions in the brute-force
@@ -34,17 +34,7 @@ class Sample:
         object.__setattr__(self, "y", ys)
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("instances and labels must have equal length")
-        if not np.all(np.isin(ys, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        if self.weights is None:
-            w = np.full(len(ys), 1.0 / len(ys))
-        else:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != ys.shape or np.any(w < 0):
-                raise ValueError("weights must be nonnegative, one per point")
-            if abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to 1")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _point_masses(ys, self.weights))
 
     @property
     def m(self) -> int:
@@ -99,13 +89,9 @@ def _group_by_instance(sample: Sample):
     """Masses of +1 and -1 labels per distinct instance."""
     _, inverse = np.unique(sample.x, axis=0, return_inverse=True)
     k = inverse.max() + 1
-    pos = np.zeros(k)
-    neg = np.zeros(k)
-    for idx, y, w in zip(inverse, sample.y, sample.weights):
-        if y > 0:
-            pos[idx] += w
-        else:
-            neg[idx] += w
+    positive = sample.y > 0
+    pos = np.bincount(inverse, weights=np.where(positive, sample.weights, 0.0), minlength=k)
+    neg = np.bincount(inverse, weights=np.where(positive, 0.0, sample.weights), minlength=k)
     return pos, neg
 
 
@@ -141,25 +127,12 @@ def bayes_surrogate_risk(sample: Sample, loss: Loss, tol: float = 1e-10) -> floa
 
 def load_sample_csv(path: str) -> Sample:
     """Read a dataset CSV with header f1,...,fd,label[,weight]."""
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        header = [h.strip() for h in header]
-        if "label" not in header:
-            raise ValueError("dataset CSV must have a 'label' column")
-        label_col = header.index("label")
-        weight_col = header.index("weight") if "weight" in header else None
-        feat_cols = [
-            i for i, h in enumerate(header) if i not in (label_col, weight_col)
-        ]
-        xs, ys, ws = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            xs.append([float(row[i]) for i in feat_cols])
-            ys.append(int(float(row[label_col])))
-            if weight_col is not None:
-                ws.append(float(row[weight_col]))
-    return Sample(np.array(xs), np.array(ys, dtype=float), np.array(ws) if ws else None)
+    header, table = _read_csv(path)
+    if header is None or "label" not in header:
+        raise ValueError("dataset CSV must have a 'label' column")
+    label_col = header.index("label")
+    weight_col = header.index("weight") if "weight" in header else None
+    feat_cols = [i for i in range(len(header)) if i not in (label_col, weight_col)]
+    # contiguous copies: column picks are strided, and matmul rounds by layout
+    weights = None if weight_col is None else table[:, weight_col].copy()
+    return Sample(table[:, feat_cols].copy(), table[:, label_col].copy(), weights)

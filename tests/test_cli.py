@@ -40,6 +40,26 @@ class TestExitCodes:
         code = run(["train", str(three_point), "--class", "proj:1", "--loss", "square"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["train"], ["hardcore", "--seed", "3"]])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f1,label\n0.5,1\n0.5,1.9\n", "labels must be"),
+            ("f1,f2,label\n0.5,0.5,1\n0.5,-1\n", "number of columns"),
+            ("f1,label\n", "no data rows"),
+        ],
+        ids=["fractional-label", "ragged-row", "header-only"],
+    )
+    def test_malformed_dataset_domain_error(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = run([command[0], str(path), "--class", "proj:1", *command[1:]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and message in err["message"]
+
 
 class TestHardcoreCommand:
     def test_three_point_certificate(self, capsys, three_point):

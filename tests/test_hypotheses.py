@@ -142,6 +142,8 @@ class TestFeatureMatrix:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.array([[0.5]]), np.array([0.0]))
+        with pytest.raises(ValueError, match="empty"):
+            FeatureMatrix(np.zeros((0, 1)), np.zeros(0))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -168,6 +170,20 @@ class TestParseClassSpec:
         cls = parse_class_spec(f"explicit:{path}")
         assert isinstance(cls, ExplicitClass) and cls.n == 2
         assert cls.table.shape == (2, 2)
+
+    @pytest.mark.parametrize("header", ["", "h1,h2\n", '"h1","h2"\n'])
+    def test_explicit_table_with_or_without_header(self, tmp_path, header):
+        path = tmp_path / "table.csv"
+        path.write_text(header + '0.5,"-0.5"\n\n1.0,0.0\n')
+        cls = parse_class_spec(f"explicit:{path}")
+        assert np.array_equal(cls.table, [[0.5, -0.5], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("text", ["0.5,-0.5\n1.0\n", "h1,h2\n", "h1,h2,h3\n0.5,-0.5\n"])
+    def test_explicit_malformed_table(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            parse_class_spec(f"explicit:{path}")
 
     def test_unknown(self):
         with pytest.raises(ValueError):

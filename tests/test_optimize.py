@@ -13,6 +13,7 @@ from hardcoreboost import (
     compute_hardcore,
     coordinate_descent,
     dual_lower_bound,
+    margins,
     optimize,
     subgradient_descent,
     suboptimality_certificate,
@@ -42,10 +43,9 @@ def planted_problem(rng, m, n, core_frac):
     return FeatureMatrix(x, y)
 
 
-def oracle_slope(fm, loss, lam, direction):
-    """The line-search slope s -> d/ds risk(lam + s direction), formed from scratch."""
-    feats_dir = fm.features @ direction
-    base = fm.features @ np.asarray(lam, dtype=float)
+def ray_slope(fm, loss, base, feats_dir):
+    """The slope s -> d/ds risk on the ray H lam + s H d, with base = H lam and
+    feats_dir = H d, formed from scratch."""
 
     def slope(s):
         z = -fm.labels * (base + s * feats_dir)
@@ -55,10 +55,18 @@ def oracle_slope(fm, loss, lam, direction):
     return slope
 
 
+def oracle_slope(fm, loss, lam, direction):
+    """The line-search slope s -> d/ds risk(lam + s direction)."""
+    return ray_slope(fm, loss, fm.features @ np.asarray(lam, dtype=float), fm.features @ direction)
+
+
 def oracle_line_search(fm, loss, lam, direction, tol=1e-10):
-    """Bisection on the oracle slope to a bracket of width tol, after the same
+    return bisection_line_search(oracle_slope(fm, loss, lam, direction), tol)
+
+
+def bisection_line_search(slope, tol=1e-10):
+    """Bisection on the slope to a bracket of width tol, after the same
     doubling from 1; it stops early once lo and hi are adjacent doubles."""
-    slope = oracle_slope(fm, loss, lam, direction)
     hi = 1.0
     while slope(hi) < 0.0:
         hi *= 2.0
@@ -74,6 +82,12 @@ def oracle_line_search(fm, loss, lam, direction, tol=1e-10):
         else:
             hi = mid
     return 0.5 * (lo + hi), False
+
+
+def line_search(fm, loss, lam, direction, tol=1e-10):
+    """_line_search on the ray from lam along direction, as coordinate descent
+    calls it: with z_base = -y (H lam) and feats_dir = H direction."""
+    return _line_search(fm, loss, -margins(fm, lam), fm.features @ direction, tol)
 
 
 # the package's `optimize` attribute is the function, not the module
@@ -211,7 +225,7 @@ class TestLineSearchOracle:
             if oracle_slope(fm, loss, lam, direction)(0.0) >= 0.0:
                 direction = -direction  # a descent ray, as coordinate descent searches
             slope = oracle_slope(fm, loss, lam, direction)
-            step, truncated = _line_search(fm, loss, lam, direction, tol)
+            step, truncated = line_search(fm, loss, lam, direction, tol)
             want, want_truncated = oracle_line_search(fm, loss, lam, direction, tol)
             assert truncated == want_truncated
             assert abs(step - want) <= tol
@@ -222,7 +236,7 @@ class TestLineSearchOracle:
         # a direction that raises every margin by ~1e-19 per unit step keeps
         # the slope negative out to STEP_CAP
         fm = FeatureMatrix(np.array([[1e-19], [-2e-19], [3e-19]]), np.array([1.0, -1.0, 1.0]))
-        got = _line_search(fm, loss, np.zeros(1), np.ones(1))
+        got = line_search(fm, loss, np.zeros(1), np.ones(1))
         assert got == oracle_line_search(fm, loss, np.zeros(1), np.ones(1))
         assert got == (STEP_CAP, True)
 
@@ -231,7 +245,7 @@ class TestLineSearchOracle:
         # the 1-D minimum sits at s = 1999999, where neighbouring doubles are
         # 2.3e-10 apart, so no bracket of width tol = 1e-10 exists
         fm = FeatureMatrix(np.array([[1e-6], [1e-6]]), np.array([1.0, -1.0]))
-        step, truncated = _line_search(fm, loss, np.array([1.0 - 2e6]), np.ones(1))
+        step, truncated = line_search(fm, loss, np.array([1.0 - 2e6]), np.ones(1))
         assert not truncated
         assert step == pytest.approx(1999999.0, rel=1e-12)
 
@@ -245,7 +259,10 @@ class TestLineSearchOracle:
         monkeypatch.setattr(
             optimize_module,
             "_line_search",
-            lambda fm, loss, lam, direction, **_: oracle_line_search(fm, loss, lam, direction),
+            # -y z_base is H lam exactly, as the labels are +-1
+            lambda fm, loss, z_base, feats_dir: bisection_line_search(
+                ray_slope(fm, loss, -fm.labels * z_base, feats_dir)
+            ),
         )
         for fm, run in zip(problems, runs):
             want = coordinate_descent(fm, loss, cfg)
@@ -306,7 +323,7 @@ def test_truncation_matches_oracle(seed, scale_exp, separable, loss):
     fm = FeatureMatrix(feats, fm.labels)
     lam = rng.normal(size=fm.n)
     direction = np.eye(fm.n)[0]
-    _, truncated = _line_search(fm, loss, lam, direction)
+    _, truncated = line_search(fm, loss, lam, direction)
     assert truncated == oracle_line_search(fm, loss, lam, direction)[1]
 
 

@@ -1,4 +1,7 @@
+import csv
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,9 @@ from hardcoreboost import (
     surrogate_risk,
 )
 from hardcoreboost.losses import Loss, psi_numeric
+from hardcoreboost.risk import _group_by_instance
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def random_fm(rng, m=6, n=3):
@@ -105,7 +111,31 @@ class TestMargins:
         assert np.allclose(margins(fm, np.array([2.0])), [1.0, -1.0])
 
 
+def loop_group_by_instance(sample):
+    """The per-row accumulation _group_by_instance replaced, as an oracle."""
+    _, inverse = np.unique(sample.x, axis=0, return_inverse=True)
+    k = inverse.max() + 1
+    pos = np.zeros(k)
+    neg = np.zeros(k)
+    for idx, y, w in zip(inverse, sample.y, sample.weights):
+        if y > 0:
+            pos[idx] += w
+        else:
+            neg[idx] += w
+    return pos, neg
+
+
 class TestBayes:
+    def test_grouping_matches_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            m, d = int(rng.integers(1, 40)), int(rng.integers(1, 3))
+            w = rng.random(m) * (rng.random(m) < 0.8)
+            w = w / w.sum() if w.sum() > 0 else None
+            s = Sample(rng.integers(0, 3, (m, d)), rng.choice([-1.0, 1.0], m), w)
+            got, want = _group_by_instance(s), loop_group_by_instance(s)
+            assert all(np.array_equal(g, h) for g, h in zip(got, want))
+
     def test_deterministic_labels(self):
         s = Sample(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
         assert bayes_risk_discrete(s) == 0.0
@@ -184,3 +214,67 @@ class TestCsv:
         path.write_text("f1,f2\n0.5,1\n")
         with pytest.raises(ValueError):
             load_sample_csv(path)
+
+    def test_blank_lines_and_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,label\n\n0.5,1\n# a comment\n\n-0.5,-1  # another\n\n")
+        s = load_sample_csv(path)
+        assert np.array_equal(s.x, [[0.5], [-0.5]])
+        assert np.array_equal(s.y, [1.0, -1.0])
+
+    def test_quoted_fields(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"f1","label","weight"\n"0.5","1",0.25\n-0.5,"-1","0.75"\n')
+        s = load_sample_csv(path)
+        assert np.array_equal(s.x, [[0.5], [-0.5]])
+        assert np.array_equal(s.y, [1.0, -1.0])
+        assert np.array_equal(s.weights, [0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("f1,label\n0.5,1\n-0.5,1.9\n", "labels must be"),
+            ("f1,f2,label\n0.5,0.5,1\n-0.5,-1\n", "number of columns"),
+            ("f1,label\n0.5,1,0.2\n-0.5,-1,0.8\n", "header has 2 fields"),
+            ("f1,label\n", "no data rows"),
+        ],
+        ids=["fractional-label", "ragged-row", "rows-wider-than-header", "header-only"],
+    )
+    def test_malformed_files_are_rejected(self, tmp_path, text, match):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_sample_csv(path)
+
+
+def loop_load_sample_csv(path):
+    """The per-row csv reader that load_sample_csv replaced, as an oracle."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        label_col = header.index("label")
+        weight_col = header.index("weight") if "weight" in header else None
+        feat_cols = [i for i, h in enumerate(header) if i not in (label_col, weight_col)]
+        xs, ys, ws = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            xs.append([float(row[i]) for i in feat_cols])
+            ys.append(int(float(row[label_col])))
+            if weight_col is not None:
+                ws.append(float(row[weight_col]))
+    return Sample(np.array(xs), np.array(ys, dtype=float), np.array(ws) if ws else None)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bench_pools_load_as_the_loop_did(seed, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    for workload in (workloads.Hardcore(), workloads.Train()):
+        for entry in workload.make_pool(np.random.default_rng(seed), str(tmp_path)):
+            got, want = load_sample_csv(entry["csv"]), loop_load_sample_csv(entry["csv"])
+            for attr in ("x", "y", "weights"):
+                a, b = getattr(got, attr), getattr(want, attr)
+                # equal bytes in the same layout, since matmul rounds by layout
+                assert a.shape == b.shape and a.strides == b.strides
+                assert a.tobytes() == b.tobytes()
