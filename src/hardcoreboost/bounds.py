@@ -25,16 +25,12 @@ class BoundInputs:
     mu_core: float = 0.0  # core mass
     c: float = 1.0  # structural constant
     b: float = 1.0  # representation-norm bound
-    m_core: int = 0
-    m_plus: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 <= self.mu_core <= 1.0:
             raise ValueError("core mass must lie in [0, 1]")
-        if self.m_core < 0 or self.m_plus < 0 or self.m_core + self.m_plus > self.m:
-            raise ValueError("region counts must be nonnegative and sum to at most m")
         if self.c <= 0 or self.b <= 0 or self.phi0 <= 0:
             raise ValueError("c, b, and phi0 must be positive")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .hardcore import _max_margin
 from .hypotheses import LatticeCellClass
-from .losses import Loss
+from .losses import Loss, _min_conditional_risk
 from .optimize import OptimizerConfig, coordinate_descent
 from .risk import Sample, surrogate_risk
 
@@ -51,15 +51,12 @@ class StaggeredWorld:
         values, saturated = loss.value_saturated(-m)
         return float(np.sum(self.masses * values)), saturated
 
-    def misclassified_mass(self, lam, label: float | None = None) -> float:
-        """World mass misclassified by sign(H lam), among points of one label if given."""
+    def misclassified_mass(self, lam) -> float:
+        """World mass misclassified by sign(H lam)."""
         pred = np.where(self.points @ np.asarray(lam, dtype=float) >= 0.0, 1.0, -1.0)
-        wrong = pred != self.labels
-        if label is not None:
-            wrong &= self.labels == label
-        return float(np.sum(self.masses[wrong]))
+        return float(np.sum(self.masses[pred != self.labels]))
 
-    classification_risk = misclassified_mass  # R_L(lam): both labels
+    classification_risk = misclassified_mass  # R_L(lam)
 
 
 def build_staggered(depth: int) -> StaggeredWorld:
@@ -135,30 +132,27 @@ def impossibility_report(
 
     Retries with offset seeds while the sampled direction happens to classify
     the full world correctly (no tail points missed); after max_retries the
-    report is returned flagged as a null finding.
+    last fitted direction is reported, flagged as a null finding.  Raises
+    ValueError when no draw had both labels.
     """
     if depth < 3:
         raise ValueError("depth must be >= 3 so the sample can miss tail points")
     world = build_staggered(depth)
     lam_hat = None
     retries = 0
-    used_seed = seed
     for attempt in range(max_retries + 1):
-        used_seed = seed + attempt
-        sample = sample_world(world, m, used_seed)
+        sample = sample_world(world, m, seed + attempt)
         if len(set(sample.y)) < 2:
             retries += 1
             continue
-        lam_try, _margin = max_margin_2d(sample)
-        if world.misclassified_mass(lam_try) > 0.0:
-            lam_hat = lam_try
-            margin = _margin
+        lam_hat, margin = max_margin_2d(sample)
+        used_seed = seed + attempt
+        if world.misclassified_mass(lam_hat) > 0.0:
             break
         retries += 1
-    null_finding = lam_hat is None
-    if null_finding:
-        sample = sample_world(world, m, used_seed)
-        lam_hat, margin = max_margin_2d(sample)
+    if lam_hat is None:
+        raise ValueError(f"none of {max_retries + 1} draws of m={m} points had both labels")
+    null_finding = retries > max_retries
     wrong_mass = world.misclassified_mass(lam_hat)
     rows = []
     for c in scales:
@@ -311,8 +305,6 @@ def _train_to_suboptimality(fm, loss, epsilon, max_iters):
     Lattice features partition the sample, so the empirical optimum splits
     per cell and is computed exactly to set the descent's target objective.
     """
-    from ._scalar import golden_min
-
     counts = fm.features.sum(axis=0)
     opt = 0.0
     for i in range(fm.n):
@@ -321,11 +313,7 @@ def _train_to_suboptimality(fm, loss, epsilon, max_iters):
         on = fm.features[:, i] > 0
         wp = float(np.sum(fm.weights[on & (fm.labels > 0)]))
         wn = float(np.sum(fm.weights[on & (fm.labels < 0)]))
-        _, v = golden_min(
-            lambda f: wp * float(loss.value(-f)) + wn * float(loss.value(f)),
-            -60.0, 60.0, 1e-10,
-        )
-        opt += v
+        opt += _min_conditional_risk(loss, wp, wn)
     outside = fm.features.sum(axis=1) == 0
     opt += float(np.sum(fm.weights[outside] * loss.value(0.0)))
 

@@ -43,7 +43,8 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
     The first line is a header unless all its nonempty fields parse as
     numbers.  Quoted fields parse as numbers, empty lines are skipped, and
     a row whose field count differs from the others (or from the header)
-    is an error, as is a file without data rows.
+    is an error, as is a file without data rows.  Errors read
+    "<path>: line <N>: <reason>" with N the 1-based line in the file.
     """
     with open(path) as fh:
         first = fh.readline()
@@ -55,9 +56,12 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
         else:
             header = None
             fh.seek(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no data: raised below
-            table = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"')
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data: raised below
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"')
+        except ValueError as exc:
+            raise ValueError(f"{path}: {_bad_line(path, header) or exc}") from None
     if table.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
     if header is not None and len(header) != table.shape[1]:
@@ -65,6 +69,29 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
             f"{path}: the header has {len(header)} fields, the rows {table.shape[1]}"
         )
     return header, table
+
+
+def _bad_line(path, header) -> str | None:
+    """"line <N>: <reason>" for the first data line np.loadtxt rejects, if any.
+
+    Each line is parsed on its own, so np.loadtxt's own rules decide what
+    is a comment, an empty line or a number; every row needs as many fields
+    as the header, or else as the first row.
+    """
+    width = None if header is None else len(header)
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # empty and comment lines
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 and header is not None:
+                continue
+            try:
+                row = np.loadtxt([line], delimiter=",", ndmin=1, quotechar='"')
+            except ValueError as exc:
+                return f"line {lineno}: {str(exc).split(' at row')[0]}"
+            width = width or row.size
+            if row.size not in (0, width):
+                return f"line {lineno}: the number of columns is {row.size}, not {width}"
+    return None
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ from ._scalar import bisect_root, golden_min
 # exp() arguments are clamped here to avoid silent infinities in risk sums.
 EXP_CLAMP = 700.0
 
-# Inner search interval for the psi-transform and conditional-risk minima.
-PSI_ALPHA_BRACKET = 50.0
+# Search bracket for the prediction that minimizes a conditional risk; the
+# conditional risk is convex in the prediction.
+PREDICTION_BRACKET = 60.0
 
 KINDS = ("exp", "logistic", "hinge", "cone")
 
@@ -63,10 +64,6 @@ class Loss:
     @property
     def value_at_origin(self) -> float:
         return float(self.value(0.0))
-
-    @property
-    def differentiable_at_zero(self) -> bool:
-        return self.kind != "hinge"
 
     def value(self, z):
         """phi(z); accepts scalars or arrays, exp terms clamped at EXP_CLAMP."""
@@ -205,27 +202,31 @@ def psi_inverse_bound(loss: Loss, r: float) -> float:
     raise UnsupportedLossError(f"no psi-inverse bound for {loss.kind!r}")
 
 
-def _conditional_risk(loss: Loss, eta: float, alpha: float) -> float:
-    return eta * float(loss.value(-alpha)) + (1.0 - eta) * float(loss.value(alpha))
+def _min_conditional_risk(loss: Loss, w_pos, w_neg, tol: float = 1e-10) -> float:
+    """min over f in [-B, B] of w_pos phi(-f) + w_neg phi(f), by golden section.
+
+    With w_pos = eta and w_neg = 1 - eta this is the minimal conditional risk
+    H(eta); with the label masses of one instance it is that instance's share
+    of the minimal surrogate risk.  B is PREDICTION_BRACKET.
+    """
+    _, v = golden_min(
+        lambda f: w_pos * float(loss.value(-f)) + w_neg * float(loss.value(f)),
+        -PREDICTION_BRACKET,
+        PREDICTION_BRACKET,
+        tol,
+    )
+    return v
 
 
 def psi_numeric(loss: Loss, theta: float, tol: float = 1e-8) -> float:
     """Numeric psi-transform psi(theta) = H^-((1+theta)/2) - H((1+theta)/2).
 
-    H(eta) is the minimal conditional risk over predictions alpha, H^- the
-    same infimum restricted to predictions on the wrong side, i.e. with
-    alpha * (2 eta - 1) <= 0.  Hinge is answered by its closed form |theta|;
-    all other built-in kinds are differentiable at 0 as the transform requires.
+    H(eta) is the minimal conditional risk over predictions, H^- the same
+    infimum over predictions on the wrong side.  For a convex loss and
+    eta >= 1/2, H^-(eta) = phi(0) (Bartlett, Jordan & McAuliffe, 2006), so only
+    H is searched, for every kind.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if loss.kind == "hinge":
-        return abs(theta)
-    if not loss.differentiable_at_zero:
-        raise UnsupportedLossError("psi transform needs differentiability at 0")
     eta = (1.0 + theta) / 2.0
-    b = PSI_ALPHA_BRACKET
-    _, h_full = golden_min(lambda a: _conditional_risk(loss, eta, a), -b, b, tol)
-    # theta >= 0 gives eta >= 1/2, so the restricted side is alpha <= 0.
-    _, h_minus = golden_min(lambda a: _conditional_risk(loss, eta, a), -b, 0.0, tol)
-    return max(0.0, h_minus - h_full)
+    return max(0.0, loss.value_at_origin - _min_conditional_risk(loss, eta, 1.0 - eta, tol))

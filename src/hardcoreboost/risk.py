@@ -10,13 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import golden_min
 from .hypotheses import FeatureMatrix, _point_masses, _read_csv
-from .losses import Loss
-
-# Search bracket for per-instance optimal predictions in the brute-force
-# Bayes surrogate oracle; the conditional risk is convex in the prediction.
-PREDICTION_BRACKET = 60.0
+from .losses import Loss, _min_conditional_risk
 
 
 @dataclass(frozen=True)
@@ -107,21 +102,13 @@ def bayes_risk_discrete(sample: Sample) -> float:
 def bayes_surrogate_risk(sample: Sample, loss: Loss, tol: float = 1e-10) -> float:
     """Brute-force minimal surrogate risk over all predictors.
 
-    Minimizes the convex conditional risk per distinct instance by
-    golden-section over predictions in [-B, B].
+    Minimizes the convex conditional risk per distinct instance.
     """
     pos, neg = _group_by_instance(sample)
     total = 0.0
     for wp, wn in zip(pos, neg):
-        if wp + wn == 0:
-            continue
-        _, v = golden_min(
-            lambda f: wp * float(loss.value(-f)) + wn * float(loss.value(f)),
-            -PREDICTION_BRACKET,
-            PREDICTION_BRACKET,
-            tol,
-        )
-        total += v
+        if wp + wn > 0:
+            total += _min_conditional_risk(loss, wp, wn, tol)
     return total
 
 

@@ -112,3 +112,30 @@ def scalar_bisect_root(g, lo, hi, tol=1e-12, max_iter=400):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def golden_conditional_min(loss, w_pos, w_neg, bracket=60.0, tol=1e-10):
+    """min_f w_pos phi(-f) + w_neg phi(f) by the inline golden-section loop the
+    Bayes surrogate oracle and the sweep target used; the shared helper must
+    match it bit for bit."""
+    from hardcoreboost._scalar import golden_min
+
+    _, v = golden_min(
+        lambda f: w_pos * float(loss.value(-f)) + w_neg * float(loss.value(f)),
+        -bracket, bracket, tol,
+    )
+    return v
+
+
+def two_search_psi(loss, theta, tol=1e-8):
+    """psi(theta) with H and the wrong-side H^- each golden-searched on [-50, 50]."""
+    from hardcoreboost._scalar import golden_min
+
+    eta = (1.0 + theta) / 2.0
+
+    def risk(a):
+        return eta * float(loss.value(-a)) + (1.0 - eta) * float(loss.value(a))
+
+    _, h_full = golden_min(risk, -50.0, 50.0, tol)
+    _, h_minus = golden_min(risk, -50.0, 0.0, tol)
+    return max(0.0, h_minus - h_full)

@@ -204,8 +204,6 @@ class TestFullRiskBound:
             BoundInputs(m=10, n=2, delta=1.5)
         with pytest.raises(ValueError):
             BoundInputs(m=10, n=2, delta=0.1, mu_core=2.0)
-        with pytest.raises(ValueError):
-            BoundInputs(m=10, n=2, delta=0.1, m_core=6, m_plus=6)
 
 
 class TestRademacher:

@@ -45,10 +45,11 @@ class TestExitCodes:
         "text, message",
         [
             ("f1,label\n0.5,1\n0.5,1.9\n", "labels must be"),
-            ("f1,f2,label\n0.5,0.5,1\n0.5,-1\n", "number of columns"),
+            ("f1,f2,label\n0.5,0.5,1\n0.5,-1\n", "bad.csv: line 3: the number of columns is 2, not 3"),
             ("f1,label\n", "no data rows"),
+            ("f1,label\n0.5,1\n0.5,x\n", "bad.csv: line 3: could not convert string 'x'"),
         ],
-        ids=["fractional-label", "ragged-row", "header-only"],
+        ids=["fractional-label", "ragged-row", "header-only", "non-numeric-line"],
     )
     def test_malformed_dataset_domain_error(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.csv"
@@ -59,6 +60,7 @@ class TestExitCodes:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and message in err["message"]
+        assert "usecols" not in err["message"]
 
 
 class TestHardcoreCommand:

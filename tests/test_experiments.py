@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from conftest import box_vertices
+from conftest import box_vertices, golden_conditional_min
 
 from hardcoreboost import (
     LatticeNoiseWorld,
@@ -15,9 +17,10 @@ from hardcoreboost import (
     max_margin_2d,
     sample_world,
 )
-from hardcoreboost.experiments import _LatticePredictor
+from hardcoreboost import experiments
+from hardcoreboost.experiments import _LatticePredictor, _train_to_suboptimality
 from hardcoreboost.hypotheses import LatticeCellClass
-from hardcoreboost.losses import Loss
+from hardcoreboost.losses import Loss, parse_loss
 from hardcoreboost.lp import STATUS_OPTIMAL, LinearProgram, solve
 
 
@@ -216,6 +219,26 @@ class TestImpossibilityReport:
         assert rep.rows[1].risk_maxmargin > rep.rows[0].risk_maxmargin
         assert rep.rows[1].risk_separator < 1.0
 
+    def test_null_finding(self):
+        # no draw of 200 points misses the depth-3 tail: every retry is spent
+        rep = impossibility_report(3, 200, [1.0], Loss("exp"), seed=0)
+        assert rep.null_finding and rep.retries == 21 and rep.seed == 20
+        assert rep.max_margin == pytest.approx([-0.50657895, 0.49342105], abs=1e-8)
+        assert rep.misclassified_mass == 0.0
+
+    def test_null_finding_keeps_the_last_two_label_fit(self):
+        # seeds 13 and 15 draw one label only; seed 14's fit is the one reported
+        world = build_staggered(3)
+        assert [len(set(sample_world(world, 2, s).y)) for s in (13, 14, 15)] == [1, 2, 1]
+        rep = impossibility_report(3, 2, [1.0], Loss("exp"), seed=13, max_retries=2)
+        assert rep.null_finding and rep.retries == 3 and rep.seed == 14
+        lam, margin = max_margin_2d(sample_world(world, 2, 14))
+        assert np.array_equal(rep.max_margin, lam) and rep.margin == margin
+
+    def test_no_two_label_draw_is_an_error(self):
+        with pytest.raises(ValueError, match="none of 21 draws of m=1 points had both labels"):
+            impossibility_report(3, 1, [1.0], Loss("exp"), seed=0)
+
     def test_deterministic(self):
         a = impossibility_report(5, 15, [1, 4], Loss("exp"), seed=11)
         b = impossibility_report(5, 15, [1, 4], Loss("exp"), seed=11)
@@ -304,3 +327,40 @@ class TestConsistencySweep:
         results = consistency_sweep(cfg)
         assert results[0].median > 0.1  # unresolvable at resolution 1
         assert results[1].median <= 0.05
+
+
+def inline_sweep_target(fm, loss, epsilon):
+    """The sweep's target: per-cell optima by the inline golden loop, plus phi(0)
+    on points outside the lattice, plus epsilon."""
+    counts = fm.features.sum(axis=0)
+    opt = 0.0
+    for i in range(fm.n):
+        if counts[i] == 0:
+            continue
+        on = fm.features[:, i] > 0
+        wp = float(np.sum(fm.weights[on & (fm.labels > 0)]))
+        wn = float(np.sum(fm.weights[on & (fm.labels < 0)]))
+        opt += golden_conditional_min(loss, wp, wn)
+    outside = fm.features.sum(axis=1) == 0
+    opt += float(np.sum(fm.weights[outside] * loss.value(0.0)))
+    return opt + epsilon
+
+
+@pytest.mark.parametrize("spec", ["logistic", "exp", "cone:0.3,2.5"])
+def test_sweep_target_matches_inline_golden_loop(spec, monkeypatch):
+    targets = []
+
+    def record_target(fm, loss, cfg, target):
+        targets.append(target)
+        return SimpleNamespace(objective=target)
+
+    monkeypatch.setattr(experiments, "coordinate_descent", record_target)
+    loss = parse_loss(spec)
+    rng = np.random.default_rng(8)
+    for resolution in (1, 2, 3):
+        m = int(rng.integers(20, 200))
+        # instances beyond [-1, 1) fall outside the resolution-1 lattice
+        sample = Sample(rng.uniform(-1.5, 1.5, size=(m, 1)), rng.choice([-1.0, 1.0], size=m))
+        fm = LatticeCellClass(resolution, 1).materialize(sample)
+        _train_to_suboptimality(fm, loss, 1.0 / m, max_iters=10)
+        assert targets[-1] == inline_sweep_target(fm, loss, 1.0 / m)

@@ -185,6 +185,21 @@ class TestParseClassSpec:
         with pytest.raises(ValueError):
             parse_class_spec(f"explicit:{path}")
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0.5,-0.5\n1.0,0.0\n1.0\n", "line 3: the number of columns is 1, not 2"),
+            ("h1,h2\n0.5,-0.5\n1.0,?\n", "line 3: could not convert string '?'"),
+        ],
+        ids=["ragged-row", "non-numeric"],
+    )
+    def test_explicit_malformed_table_names_its_line(self, tmp_path, text, reason):
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_class_spec(f"explicit:{path}")
+        assert str(info.value).startswith(f"{path}: {reason}")
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_class_spec("stumps:3")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import scalar_bisect_root
+from conftest import scalar_bisect_root, two_search_psi
 from hypothesis import strategies as st
 
 from hardcoreboost.losses import (
@@ -295,6 +295,27 @@ class TestPsiNumeric:
     def test_theta_out_of_range(self):
         with pytest.raises(ValueError):
             psi_numeric(Loss("exp"), 1.5)
+
+    def test_closed_forms_on_a_fine_grid(self):
+        # H^- = phi(0) exactly, so only the minimal conditional risk H is searched
+        thetas = np.linspace(0, 1, 101)
+        for theta in thetas:
+            eta = (1.0 + theta) / 2.0
+            entropy = -sum(p * math.log(p) for p in (eta, 1.0 - eta) if p > 0)
+            exp_psi = 1.0 - math.sqrt(1.0 - theta * theta)
+            assert abs(psi_numeric(Loss("exp"), theta) - exp_psi) <= 1e-12
+            assert abs(psi_numeric(Loss("logistic"), theta) - (math.log(2) - entropy)) <= 1e-12
+            hinge = psi_numeric(Loss("hinge"), theta)
+            assert theta - 1e-9 <= hinge <= theta
+
+    @pytest.mark.parametrize("c1, c2", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.1)])
+    def test_cone_agrees_with_two_search_routine(self, c1, c2):
+        loss = Loss("cone", c1=c1, c2=c2)
+        for theta in np.linspace(0, 1, 101):
+            new, old = psi_numeric(loss, theta), two_search_psi(loss, theta)
+            assert abs(new - old) <= 1e-8
+            # the wrong-side search only ever landed at or above phi(0)
+            assert new <= old + 4 * np.finfo(float).eps
 
     def test_psi_consistent_with_inverse_bound(self):
         # psi(psi_inverse_bound bound) >= r would be the wrong direction;

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import golden_conditional_min
 
 from hardcoreboost import (
     ExplicitClass,
@@ -17,7 +18,7 @@ from hardcoreboost import (
     margins,
     surrogate_risk,
 )
-from hardcoreboost.losses import Loss, psi_numeric
+from hardcoreboost.losses import Loss, parse_loss, psi_numeric
 from hardcoreboost.risk import _group_by_instance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -165,6 +166,22 @@ class TestBayes:
             lam = rng.normal(scale=3, size=2)
             assert best <= surrogate_risk(fm, lam, Loss("logistic")) + 1e-9
 
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "hinge", "cone:0.3,2.5"])
+    def test_surrogate_bayes_matches_inline_golden_loop(self, spec):
+        loss = parse_loss(spec)
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            m = int(rng.integers(2, 12))
+            x = rng.integers(0, int(rng.integers(1, 5)), size=(m, 1)).astype(float)
+            y = rng.choice([-1.0, 1.0], size=m)
+            w = rng.uniform(0.0, 1.0, size=m)
+            s = Sample(x, y, w / w.sum())
+            want = 0.0
+            for wp, wn in zip(*_group_by_instance(s)):
+                if wp + wn > 0:
+                    want += golden_conditional_min(loss, wp, wn)
+            assert bayes_surrogate_risk(s, loss) == want
+
 
 def test_calibration_inequality_finite_distributions():
     # psi(R_L - R_L*) <= R_phi - R_phi* for arbitrary predictors over
@@ -234,11 +251,16 @@ class TestCsv:
         "text, match",
         [
             ("f1,label\n0.5,1\n-0.5,1.9\n", "labels must be"),
-            ("f1,f2,label\n0.5,0.5,1\n-0.5,-1\n", "number of columns"),
+            ("f1,f2,label\n0.5,0.5,1\n-0.5,-1\n", r"data\.csv: line 3: the number of columns is 2, not 3$"),
             ("f1,label\n0.5,1,0.2\n-0.5,-1,0.8\n", "header has 2 fields"),
             ("f1,label\n", "no data rows"),
+            ("f1,label\n0.5,1\n-0.5,x\n", r"data\.csv: line 3: could not convert string 'x'"),
+            ("f1,label\n# note\n0.5,1\n\n0.5,1,9\n", r"data\.csv: line 5: the number of columns is 3, not 2$"),
         ],
-        ids=["fractional-label", "ragged-row", "rows-wider-than-header", "header-only"],
+        ids=[
+            "fractional-label", "ragged-row", "rows-wider-than-header", "header-only",
+            "non-numeric-line", "line-after-comment-and-blank",
+        ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text, match):
         path = tmp_path / "data.csv"
