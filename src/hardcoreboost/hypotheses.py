@@ -41,8 +41,9 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
     """A comma-separated numeric table and its header tokens (None if absent).
 
     The first line is a header unless all its nonempty fields parse as
-    numbers.  Quoted fields parse as numbers, empty lines are skipped, and
-    a row whose field count differs from the others (or from the header)
+    numbers.  Quoted fields parse as numbers, empty and whitespace-only
+    lines are skipped, and a row whose field count differs from the others
+    (or from the header)
     is an error, as is a file without data rows.  Errors read
     "<path>: line <N>: <reason>" with N the 1-based line in the file.
     """
@@ -59,7 +60,10 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data: raised below
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"')
+                table = np.loadtxt(
+                    (line for line in fh if not line.isspace()),
+                    delimiter=",", ndmin=2, quotechar='"',
+                )
         except ValueError as exc:
             raise ValueError(f"{path}: {_bad_line(path, header) or exc}") from None
     if table.shape[0] == 0:
@@ -74,15 +78,16 @@ def _read_csv(path) -> tuple[list[str] | None, np.ndarray]:
 def _bad_line(path, header) -> str | None:
     """"line <N>: <reason>" for the first data line np.loadtxt rejects, if any.
 
-    Each line is parsed on its own, so np.loadtxt's own rules decide what
-    is a comment, an empty line or a number; every row needs as many fields
+    Whitespace-only lines are skipped as _read_csv skips them.  Each other
+    line is parsed on its own, so np.loadtxt's own rules decide what is a
+    comment, an empty line or a number; every row needs as many fields
     as the header, or else as the first row.
     """
     width = None if header is None else len(header)
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # empty and comment lines
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and header is not None:
+            if (lineno == 1 and header is not None) or line.isspace():
                 continue
             try:
                 row = np.loadtxt([line], delimiter=",", ndmin=1, quotechar='"')

@@ -6,8 +6,13 @@ for the exponential/logistic cone (the AdaBoost regime).  The line search
 is a safeguarded Newton iteration on the slope, using the loss's second
 derivative, that certifies a sign change on a bracket of width tol.  Each
 iteration of either method forms the margins H lam once and takes the
-objective and the gradient from them.  Dual lower bounds from
-decorrelating reweightings turn iterates into suboptimality certificates.
+objective and the gradient from them.  Coordinate descent keeps phi and
+phi' per row and, after a step along column i, evaluates the loss only on
+the rows where column i is nonzero; the line search runs on those rows
+too, since every other row adds exactly 0 to its slope.  A column with no
+zero entry keeps all rows, so dense input gives the iterates of a
+full-row loop bit for bit.  Dual lower bounds from decorrelating
+reweightings turn iterates into suboptimality certificates.
 """
 
 from __future__ import annotations
@@ -60,13 +65,13 @@ class OptRun:
 
 
 # Both optimizers form z = -y (H lam) once per iteration and take the
-# objective and the gradient at lam from it.
-def _objective(fm: FeatureMatrix, loss: Loss, z: np.ndarray) -> float:
-    return float(np.sum(fm.weights * loss.value(z)))
+# objective and the gradient at lam from phi(z) and phi'(z).
+def _objective(fm: FeatureMatrix, val: np.ndarray) -> float:
+    return float(np.sum(fm.weights * val))
 
 
-def _risk_gradient(fm: FeatureMatrix, loss: Loss, z: np.ndarray) -> np.ndarray:
-    coeff = fm.weights * loss.subgradient(z) * (-fm.labels)
+def _risk_gradient(fm: FeatureMatrix, d1: np.ndarray) -> np.ndarray:
+    coeff = fm.weights * d1 * (-fm.labels)
     return fm.features.T @ coeff
 
 
@@ -86,7 +91,7 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     stop = "iterations"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = _risk_gradient(fm, loss, z)
+        g = _risk_gradient(fm, loss.subgradient(z))
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
@@ -94,7 +99,7 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
             break
         lam = lam - (cfg.step_scale / math.sqrt(it)) * g
         z = -margins(fm, lam)
-        obj = _objective(fm, loss, z)
+        obj = _objective(fm, loss.value(z))
         objs.append(obj)
         norms.append(float(np.abs(lam).sum()))
         if obj < best_obj:
@@ -111,11 +116,16 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     )
 
 
-def _line_search(fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10):
+def _line_search(
+    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, rows=slice(None)
+):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
     The ray starts at lam with z_base = -y (H lam) and moves along a
-    direction d with feats_dir = H d.
+    direction d with feats_dir = H d.  The slope and curvature are summed
+    over rows only (an index array or a slice, all rows by default); a row
+    where feats_dir is 0 adds exactly 0 to both, so leaving it out changes
+    only the summation order.
 
     Returns (step, truncated).  The bracket grows geometrically from 1; when
     the slope stays negative out to STEP_CAP the step is truncated there.
@@ -128,12 +138,13 @@ def _line_search(fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 
     That bracket's midpoint is returned, as a bisection to width tol would;
     a bracket whose ends are adjacent doubles ends the search as well.
     """
+    z_base, feats_dir = z_base[rows], feats_dir[rows]
+    neg_y, weights = -fm.labels[rows], fm.weights[rows]
     # Labels are +-1, so these products are exact and every slope rounds as
     # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
-    neg_y = -fm.labels
     z_dir = neg_y * feats_dir
-    w_neg_y = fm.weights * neg_y
-    w_dir_sq = fm.weights * (feats_dir * feats_dir)
+    w_neg_y = weights * neg_y
+    w_dir_sq = weights * (feats_dir * feats_dir)
 
     def slope_curvature(s: float) -> tuple[float, float]:
         d1, d2 = loss.derivatives(z_base + s * z_dir)
@@ -181,12 +192,18 @@ def coordinate_descent(
     absolute partial derivative (ties to the lowest index) and minimizes
     exactly along it.  Stops once the objective is at most target, on a
     small full gradient, or at the iteration budget.
+
+    A step along column i moves z only on the rows where column i is
+    nonzero, so the line search and the refresh of phi(z) and phi'(z) run
+    on those rows alone.
     """
     if loss.kind not in ("exp", "logistic", "cone"):
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
     lam = np.zeros(fm.n) if init is None else np.asarray(init, dtype=float).copy()
-    objs = [surrogate_risk(fm, lam, loss)]
     z = -margins(fm, lam)
+    val, d1 = loss.value(z), loss.subgradient(z)
+    objs = [_objective(fm, val)]
+    col_rows = {}  # column -> its nonzero rows, or slice(None) when it has no zero
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
@@ -196,7 +213,7 @@ def coordinate_descent(
         if target is not None and objs[-1] <= target:
             stop = "target"
             break
-        g = _risk_gradient(fm, loss, z)
+        g = _risk_gradient(fm, d1)
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
@@ -205,12 +222,20 @@ def coordinate_descent(
         i = int(np.argmax(np.abs(g)))
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
+        col = fm.features[:, i]
+        rows = col_rows.get(i)
+        if rows is None:
+            nonzero = np.flatnonzero(col)
+            rows = col_rows[i] = slice(None) if nonzero.size == fm.m else nonzero
         # H times the one-hot direction is exactly the signed column i
-        step, was_truncated = _line_search(fm, loss, z, direction[i] * fm.features[:, i])
+        step, was_truncated = _line_search(fm, loss, z, direction[i] * col, rows=rows)
         truncated += was_truncated
         lam = lam + step * direction
+        # rows off column i keep their z bit for bit (H_ji lam_i adds 0)
         z = -margins(fm, lam)
-        objs.append(_objective(fm, loss, z))
+        val[rows] = loss.value(z[rows])
+        d1[rows] = loss.subgradient(z[rows])
+        objs.append(_objective(fm, val))
         norms.append(float(np.abs(lam).sum()))
     return OptRun(
         lam,

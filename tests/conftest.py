@@ -139,3 +139,48 @@ def two_search_psi(loss, theta, tol=1e-8):
     _, h_full = golden_min(risk, -50.0, 50.0, tol)
     _, h_minus = golden_min(risk, -50.0, 0.0, tol)
     return max(0.0, h_minus - h_full)
+
+
+def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
+    """Coordinate descent that evaluates the loss on every row at every step.
+
+    The loop the row-restricted coordinate_descent replaced: each slope of
+    the line search, and the objective and the gradient after each step, run
+    over all m rows.  On columns without a zero entry the two must agree bit
+    for bit.
+    """
+    import math
+
+    from hardcoreboost.optimize import OptRun, _line_search
+    from hardcoreboost.risk import margins, surrogate_risk
+
+    lam = np.zeros(fm.n) if init is None else np.asarray(init, dtype=float).copy()
+    objs = [surrogate_risk(fm, lam, loss)]
+    z = -margins(fm, lam)
+    grads = []
+    norms = [float(np.abs(lam).sum())]
+    stop = "iterations"
+    truncated = 0
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        if target is not None and objs[-1] <= target:
+            stop = "target"
+            break
+        g = fm.features.T @ (fm.weights * loss.subgradient(z) * (-fm.labels))
+        sup = float(np.abs(g).max(initial=0.0))
+        grads.append(sup)
+        if sup <= cfg.grad_tol:
+            stop = "gradient"
+            break
+        i = int(np.argmax(np.abs(g)))
+        direction = np.zeros(fm.n)
+        direction[i] = -math.copysign(1.0, g[i])
+        step, was_truncated = _line_search(fm, loss, z, direction[i] * fm.features[:, i])
+        truncated += was_truncated
+        lam = lam + step * direction
+        z = -margins(fm, lam)
+        objs.append(float(np.sum(fm.weights * loss.value(z))))
+        norms.append(float(np.abs(lam).sum()))
+    return OptRun(
+        lam, np.array(objs), np.array(grads), np.array(norms), stop, it, truncated_steps=truncated
+    )

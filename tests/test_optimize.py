@@ -1,9 +1,10 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import grid_min_risk, random_sign_problem
+from conftest import full_row_coordinate_descent, grid_min_risk, random_sign_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +20,11 @@ from hardcoreboost import (
     suboptimality_certificate,
     surrogate_risk,
 )
-from hardcoreboost.experiments import build_staggered, sample_world
+from hardcoreboost.experiments import LatticeNoiseWorld, build_staggered, sample_world
+from hardcoreboost.hypotheses import LatticeCellClass
 from hardcoreboost.losses import Loss, UnsupportedLossError
 from hardcoreboost.optimize import STEP_CAP, _line_search
+from hardcoreboost.risk import Sample
 
 
 def duplicated_point_fm():
@@ -259,8 +262,9 @@ class TestLineSearchOracle:
         monkeypatch.setattr(
             optimize_module,
             "_line_search",
-            # -y z_base is H lam exactly, as the labels are +-1
-            lambda fm, loss, z_base, feats_dir: bisection_line_search(
+            # -y z_base is H lam exactly, as the labels are +-1; the oracle
+            # sums over all rows, where rows off the column add exactly 0
+            lambda fm, loss, z_base, feats_dir, rows=None: bisection_line_search(
                 ray_slope(fm, loss, -fm.labels * z_base, feats_dir)
             ),
         )
@@ -325,6 +329,116 @@ def test_truncation_matches_oracle(seed, scale_exp, separable, loss):
     direction = np.eye(fm.n)[0]
     _, truncated = line_search(fm, loss, lam, direction)
     assert truncated == oracle_line_search(fm, loss, lam, direction)[1]
+
+
+def lattice_problems():
+    """Lattice cell features, one nonzero per row: 1-D on the sweep's noise
+    world and 2-D on labels that flip across a line no cell edge follows."""
+    world = LatticeNoiseWorld((0.8, 0.2, 0.8, 0.2))
+    problems = []
+    for seed, (m, res) in enumerate([(250, 1), (1000, 2), (4000, 3)]):
+        sample = world.sample(m, np.random.default_rng(seed))
+        problems.append(LatticeCellClass(res, 1).materialize(sample))
+    for seed, (m, res) in enumerate([(300, 1), (1500, 2)]):
+        rng = np.random.default_rng(10 + seed)
+        x = rng.uniform(-1.0, 1.0, (m, 2))
+        p = np.where(x[:, 0] + x[:, 1] > 0.3, 0.8, 0.2)
+        y = np.where(rng.uniform(size=m) < p, 1.0, -1.0)
+        problems.append(LatticeCellClass(res, 2).materialize(Sample(x, y)))
+    return problems
+
+
+def sparse_explicit_problems(count, seed):
+    """Random features in [-1, 1] with a random share of zeros per column;
+    some columns have no zero at all."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        m, n = int(rng.integers(10, 200)), int(rng.integers(1, 7))
+        density = rng.choice([0.05, 0.2, 0.5, 1.0], size=n)
+        feats = rng.uniform(-1.0, 1.0, (m, n)) * (rng.random((m, n)) < density)
+        problems.append(FeatureMatrix(feats, rng.choice([-1.0, 1.0], m)))
+    return problems
+
+
+class TestRowRestriction:
+    """coordinate_descent evaluates the loss only on the chosen column's
+    nonzero rows; full_row_coordinate_descent is the all-rows loop."""
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    @pytest.mark.parametrize("shape", [(2000, 16, 200), (48, 6, 300)], ids=["2000x16", "48x6"])
+    def test_dense_input_is_bit_identical(self, loss, shape):
+        m, n, iters = shape
+        fm = planted_problem(np.random.default_rng(m + n), m, n, 0.3)
+        assert np.all(fm.features != 0.0)
+        cfg = OptimizerConfig(max_iters=iters)
+        run = coordinate_descent(fm, loss, cfg)
+        want = full_row_coordinate_descent(fm, loss, cfg)
+        assert (run.stop_reason, run.iterations, run.truncated_steps) == (
+            want.stop_reason, want.iterations, want.truncated_steps
+        )
+        assert np.array_equal(run.lam, want.lam)
+        assert np.array_equal(run.objective_trace, want.objective_trace)
+        assert np.array_equal(run.grad_sup_trace, want.grad_sup_trace)
+        assert np.array_equal(run.norm_trace, want.norm_trace)
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    def test_sparse_input_within_tol(self, loss):
+        # leaving out the zero rows reorders the slope sums, so each step
+        # moves within the line search's tol = 1e-10
+        cases = list(itertools.product(
+            lattice_problems() + sparse_explicit_problems(30, seed=8),
+            [OptimizerConfig(max_iters=150), OptimizerConfig(max_iters=5)],
+        ))
+        # a column that raises the margins of its 3 rows by ~1e-19 per unit
+        # step: every line search along it is truncated at STEP_CAP
+        labels = np.array([1.0, -1.0, 1.0, -1.0, 1.0, 1.0])
+        tiny = FeatureMatrix(np.where(np.arange(6) < 3, labels * 1e-19, 0.0)[:, None], labels)
+        cases.append((tiny, OptimizerConfig(max_iters=5, grad_tol=0.0)))
+        stops = set()
+        for fm, cfg in cases:
+            run = coordinate_descent(fm, loss, cfg)
+            want = full_row_coordinate_descent(fm, loss, cfg)
+            stops.add((run.stop_reason, run.truncated_steps > 0))
+            assert run.stop_reason == want.stop_reason
+            assert run.iterations == want.iterations
+            assert run.truncated_steps == want.truncated_steps
+            np.testing.assert_allclose(run.lam, want.lam, rtol=0.0, atol=1e-8)
+            np.testing.assert_allclose(
+                run.objective_trace, want.objective_trace, rtol=0.0, atol=1e-11
+            )
+        assert {("gradient", False), ("iterations", False), ("iterations", True)} <= stops
+
+    def test_loss_runs_only_on_the_column_rows(self, monkeypatch):
+        fm = lattice_problems()[2]  # m = 4000 over 6 occupied cells
+        nonzero = np.count_nonzero(fm.features, axis=0)
+        assert nonzero.max() < fm.m // 3
+        derivatives, line_search = Loss.derivatives, optimize_module._line_search
+        subgradient = Loss.subgradient
+        column = {"nonzero": None}
+        lengths = {"derivatives": [], "subgradient": []}
+
+        def checked_line_search(fm, loss, z_base, feats_dir, *args, **kwargs):
+            column["nonzero"] = np.count_nonzero(feats_dir)
+            return line_search(fm, loss, z_base, feats_dir, *args, **kwargs)
+
+        def checked_derivatives(loss, z):
+            lengths["derivatives"].append(len(z))
+            assert len(z) <= column["nonzero"]
+            return derivatives(loss, z)
+
+        def checked_subgradient(loss, z):
+            lengths["subgradient"].append(len(z))
+            return subgradient(loss, z)
+
+        monkeypatch.setattr(optimize_module, "_line_search", checked_line_search)
+        monkeypatch.setattr(Loss, "derivatives", checked_derivatives)
+        monkeypatch.setattr(Loss, "subgradient", checked_subgradient)
+        run = coordinate_descent(fm, Loss("logistic"), OptimizerConfig(max_iters=50))
+        assert run.iterations > 4 and lengths["derivatives"]
+        # phi' is taken on all rows once at the start, then on one column's rows per step
+        assert lengths["subgradient"][0] == fm.m
+        assert max(lengths["subgradient"][1:]) <= nonzero.max()
 
 
 class TestOracleContract:

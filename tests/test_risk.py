@@ -239,6 +239,13 @@ class TestCsv:
         assert np.array_equal(s.x, [[0.5], [-0.5]])
         assert np.array_equal(s.y, [1.0, -1.0])
 
+    def test_whitespace_only_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,label\n0.5,1\n \t \n-0.5,-1\n   ")
+        s = load_sample_csv(path)
+        assert np.array_equal(s.x, [[0.5], [-0.5]])
+        assert np.array_equal(s.y, [1.0, -1.0])
+
     def test_quoted_fields(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text('"f1","label","weight"\n"0.5","1",0.25\n-0.5,"-1","0.75"\n')
@@ -256,10 +263,13 @@ class TestCsv:
             ("f1,label\n", "no data rows"),
             ("f1,label\n0.5,1\n-0.5,x\n", r"data\.csv: line 3: could not convert string 'x'"),
             ("f1,label\n# note\n0.5,1\n\n0.5,1,9\n", r"data\.csv: line 5: the number of columns is 3, not 2$"),
+            ("f1,label\n0.5,1\n  \n\t\n-0.5,x\n", r"data\.csv: line 5: could not convert string 'x'"),
+            ("f1,label\n   \n", "no data rows"),
         ],
         ids=[
             "fractional-label", "ragged-row", "rows-wider-than-header", "header-only",
-            "non-numeric-line", "line-after-comment-and-blank",
+            "non-numeric-line", "line-after-comment-and-blank", "line-after-whitespace-lines",
+            "whitespace-only-data",
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text, match):
