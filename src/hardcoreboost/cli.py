@@ -49,6 +49,21 @@ def _emit(report: dict, out: str | None, no_timestamp: bool):
         sys.stdout.write(text)
 
 
+def _field(obj, key, convert, path, default=None):
+    """convert(obj[key]) for a JSON object obj read from path (default if absent).
+
+    A missing key, or a value that convert rejects, is a ValueError naming
+    the file and the key.
+    """
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if value is None:
+        raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: key {key!r} has an ill-typed value {value!r}") from None
+
+
 def cmd_train(args) -> dict:
     sample = load_sample_csv(args.dataset)
     cls = parse_class_spec(args.cls)
@@ -100,9 +115,10 @@ def cmd_hardcore(args) -> dict:
 def cmd_bounds(args) -> dict:
     loss = parse_loss(args.loss)
     if args.from_certificate:
-        with open(args.from_certificate) as fh:
+        path = args.from_certificate
+        with open(path) as fh:
             cert = json.load(fh)
-        mu_core = len(cert["core"]) / max(1, len(cert["p"]))
+        mu_core = _field(cert, "core", len, path) / max(1, _field(cert, "p", len, path))
     else:
         mu_core = args.mu_core
     inputs = bounds_mod.BoundInputs(
@@ -155,19 +171,24 @@ def cmd_impossibility(args) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    with open(args.config) as fh:
+    path = args.config
+    with open(path) as fh:
         raw = json.load(fh)
-    world = experiments.LatticeNoiseWorld(tuple(raw["world"]["cell_probs"]))
+    world = _field(raw, "world", dict, path)
+    probs = _field(world, "cell_probs", lambda p: tuple(map(float, p)), path)
     stages = tuple(
-        experiments.SweepStage(int(s["m"]), int(s["class_index"]), float(s["epsilon"]))
-        for s in raw["stages"]
+        experiments.SweepStage(
+            _field(s, "m", int, path), _field(s, "class_index", int, path),
+            _field(s, "epsilon", float, path),
+        )
+        for s in _field(raw, "stages", lambda v: [dict(s) for s in v], path)
     )
     cfg = experiments.SweepConfig(
-        world=world,
+        world=experiments.LatticeNoiseWorld(probs),
         stages=stages,
-        loss=parse_loss(raw.get("loss", "logistic")),
-        seed=int(raw["seed"]),
-        replications=int(raw.get("replications", 20)),
+        loss=parse_loss(_field(raw, "loss", str, path, "logistic")),
+        seed=_field(raw, "seed", int, path),
+        replications=_field(raw, "replications", int, path, 20),
     )
     results = experiments.consistency_sweep(cfg)
     buf = io.StringIO()

@@ -15,7 +15,9 @@ from .hardcore import _max_margin
 from .hypotheses import LatticeCellClass
 from .losses import Loss, _min_conditional_risk
 from .optimize import OptimizerConfig, coordinate_descent
-from .risk import Sample, surrogate_risk
+from .risk import Sample
+
+SWEEP_MAX_ITERS = 5000  # coordinate-descent budget per sweep replication
 
 
 @dataclass(frozen=True)
@@ -191,10 +193,13 @@ class LatticeNoiseWorld:
     def cell_edges(self) -> np.ndarray:
         return -1.0 + 2.0 * np.arange(self.k + 1) / self.k
 
+    def _cell(self, x: np.ndarray) -> np.ndarray:
+        """World cell of each x in [-1, 1)."""
+        return np.minimum(((x + 1.0) * self.k / 2.0).astype(int), self.k - 1)
+
     def sample(self, m: int, rng: np.random.Generator) -> Sample:
         x = rng.uniform(-1.0, 1.0, size=m)
-        cell = np.minimum(((x + 1.0) * self.k / 2.0).astype(int), self.k - 1)
-        probs = np.asarray(self.cell_probs)[cell]
+        probs = np.asarray(self.cell_probs)[self._cell(x)]
         y = np.where(rng.uniform(size=m) < probs, 1.0, -1.0)
         return Sample(x[:, None], y)
 
@@ -202,49 +207,23 @@ class LatticeNoiseWorld:
         p = np.asarray(self.cell_probs)
         return float(np.mean(np.minimum(p, 1.0 - p)))
 
-    def classification_risk(self, predict) -> float:
-        """Exact R_L of a predictor piecewise-constant between breakpoints.
+    def classification_risk(self, cls: LatticeCellClass, lam) -> float:
+        """Exact R_L of H lam for a 1-D lattice class; H lam >= 0 predicts +1.
 
-        predict maps a scalar x to a prediction value (sign >= 0 means +1).
-        Exactness requires the predictor to be constant on each piece of the
-        refinement of the world cells by the predictor's own breakpoints,
-        which holds for lattice-cell weightings.
+        The world edges and the lattice edges inside (-1, 1) cut [-1, 1) into
+        the joint partition, on whose pieces both P(y = +1 | x) and H lam are
+        constant; the risk sums each piece's mass times its miss probability.
         """
-        edges = set(np.round(self.cell_edges(), 12))
-        edges |= set(np.round(predict.breakpoints(), 12)) if hasattr(predict, "breakpoints") else set()
-        cuts = np.array(sorted(e for e in edges if -1.0 <= e <= 1.0))
-        if cuts[0] > -1.0:
-            cuts = np.concatenate([[-1.0], cuts])
-        if cuts[-1] < 1.0:
-            cuts = np.concatenate([cuts, [1.0]])
-        total = 0.0
-        probs = np.asarray(self.cell_probs)
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 0:
-                continue
-            mid = 0.5 * (lo + hi)
-            cell = min(int((mid + 1.0) * self.k / 2.0), self.k - 1)
-            p_pos = probs[cell]
-            mass = (hi - lo) / 2.0
-            pred_pos = predict(mid) >= 0.0
-            total += mass * ((1.0 - p_pos) if pred_pos else p_pos)
-        return float(total)
-
-
-class _LatticePredictor:
-    """H lam for a 1-D lattice class, exposing its constancy breakpoints."""
-
-    def __init__(self, cls: LatticeCellClass, lam: np.ndarray):
-        self.cls = cls
-        self.lam = np.asarray(lam, dtype=float)
-
-    def __call__(self, x: float) -> float:
-        k = self.cls.cell_index([x])
-        return 0.0 if k is None else float(self.lam[k])
-
-    def breakpoints(self) -> np.ndarray:
-        i = self.cls.resolution
-        return np.arange(-i * i * 2, i * i * 2 + 1) / i
+        lam = np.asarray(lam, dtype=float)
+        if cls.dim != 1 or lam.shape != (cls.n,):
+            raise ValueError(f"need a 1-D lattice class and a weighting of length {cls.n}")
+        i = cls.resolution
+        cuts = np.union1d(self.cell_edges(), np.arange(1 - i, i) / i)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        p_pos = np.asarray(self.cell_probs)[self._cell(mids)]
+        pred_pos = lam[cls.cells(mids[:, None])] >= 0.0
+        miss = np.where(pred_pos, 1.0 - p_pos, p_pos)
+        return float(np.sum(np.diff(cuts) / 2.0 * miss))
 
 
 @dataclass(frozen=True)
@@ -261,9 +240,10 @@ class SweepConfig:
     loss: Loss = field(default_factory=lambda: Loss("logistic"))
     seed: int = 0
     replications: int = 20
-    max_iters: int = 5000
 
     def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
         ms = [s.m for s in self.stages]
         eps = [s.epsilon for s in self.stages]
         if any(b <= a for a, b in zip(ms, ms[1:])):
@@ -292,33 +272,33 @@ class StageResult:
 
     @property
     def median(self) -> float:
-        return float(np.median(self.excess_risks))
+        """nan when every replication failed."""
+        return float(np.median(self.excess_risks)) if self.excess_risks.size else np.nan
 
     @property
     def p90(self) -> float:
-        return float(np.quantile(self.excess_risks, 0.9))
+        """nan when every replication failed."""
+        return float(np.quantile(self.excess_risks, 0.9)) if self.excess_risks.size else np.nan
 
 
-def _train_to_suboptimality(fm, loss, epsilon, max_iters):
+def _train_to_suboptimality(fm, cells, loss, epsilon):
     """Coordinate descent until the empirical risk is epsilon-close to optimal.
 
-    Lattice features partition the sample, so the empirical optimum splits
-    per cell and is computed exactly to set the descent's target objective.
+    Lattice features partition the sample by cell (cells[j] < 0 outside the
+    lattice), so the empirical optimum splits per cell and is computed exactly
+    to set the descent's target objective.
     """
-    counts = fm.features.sum(axis=0)
+    pos, neg = fm.labels > 0, fm.labels < 0
     opt = 0.0
-    for i in range(fm.n):
-        if counts[i] == 0:
-            continue
-        on = fm.features[:, i] > 0
-        wp = float(np.sum(fm.weights[on & (fm.labels > 0)]))
-        wn = float(np.sum(fm.weights[on & (fm.labels < 0)]))
+    for c in np.unique(cells[cells >= 0]):
+        on = cells == c
+        wp = float(np.sum(fm.weights[on & pos]))
+        wn = float(np.sum(fm.weights[on & neg]))
         opt += _min_conditional_risk(loss, wp, wn)
-    outside = fm.features.sum(axis=1) == 0
-    opt += float(np.sum(fm.weights[outside] * loss.value(0.0)))
+    opt += float(np.sum(fm.weights[cells < 0] * loss.value(0.0)))
 
     target = opt + epsilon
-    cfg = OptimizerConfig(max_iters=max_iters, grad_tol=1e-12)
+    cfg = OptimizerConfig(max_iters=SWEEP_MAX_ITERS, grad_tol=1e-12)
     run = coordinate_descent(fm, loss, cfg, target=target)
     return run, run.objective <= target
 
@@ -335,13 +315,11 @@ def consistency_sweep(cfg: SweepConfig) -> list[StageResult]:
             rng = np.random.default_rng((cfg.seed, s_idx, rep))
             sample = cfg.world.sample(stage.m, rng)
             fm = cls.materialize(sample)
-            run, achieved = _train_to_suboptimality(fm, cfg.loss, stage.epsilon, cfg.max_iters)
+            run, achieved = _train_to_suboptimality(fm, cls.cells(sample.x), cfg.loss, stage.epsilon)
             if not achieved:
                 failures += 1
                 continue
-            predictor = _LatticePredictor(cls, run.lam)
-            risk = cfg.world.classification_risk(predictor)
-            excess.append(risk - bayes)
+            excess.append(cfg.world.classification_risk(cls, run.lam) - bayes)
         results.append(
             StageResult(s_idx, stage.m, cls.n, stage.epsilon, np.array(excess), failures)
         )

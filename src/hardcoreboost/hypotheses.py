@@ -209,16 +209,22 @@ class LatticeCellClass(HypothesisClass):
     def n(self) -> int:
         return self.cells_per_axis**self.dim
 
-    def cell_index(self, x) -> int | None:
-        """Flat index of the subcube containing x, or None when x is outside."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.dim,):
+    def cells(self, xs) -> np.ndarray:
+        """Flat subcube index of each row of xs (m, dim), -1 for rows outside."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if xs.shape[1] != self.dim:
             raise ValueError(f"instance must have dimension {self.dim}")
         i = self.resolution
-        axis = np.floor((x + i) * i).astype(int)
-        if np.any(axis < 0) or np.any(axis >= self.cells_per_axis):
-            return None
-        return int(np.ravel_multi_index(axis, (self.cells_per_axis,) * self.dim))
+        axis = np.floor((xs + i) * i).astype(int)
+        inside = np.all((axis >= 0) & (axis < self.cells_per_axis), axis=1)
+        out = np.full(xs.shape[0], -1)
+        out[inside] = np.ravel_multi_index(axis[inside].T, (self.cells_per_axis,) * self.dim)
+        return out
+
+    def cell_index(self, x) -> int | None:
+        """Flat index of the subcube containing x, or None when x is outside."""
+        k = int(self.cells(np.reshape(x, (1, -1)))[0])
+        return None if k < 0 else k
 
     def evaluate(self, x) -> np.ndarray:
         out = np.zeros(self.n)
@@ -228,18 +234,10 @@ class LatticeCellClass(HypothesisClass):
         return out
 
     def materialize(self, sample) -> FeatureMatrix:
-        xs = np.atleast_2d(np.asarray(sample.x, dtype=float))
-        if xs.shape[1] != self.dim:
-            raise ValueError(f"instance must have dimension {self.dim}")
-        i = self.resolution
-        axis = np.floor((xs + i) * i).astype(int)
-        inside = np.all((axis >= 0) & (axis < self.cells_per_axis), axis=1)
-        rows = np.zeros((xs.shape[0], self.n))
-        if np.any(inside):
-            flat = np.ravel_multi_index(
-                axis[inside].T, (self.cells_per_axis,) * self.dim
-            )
-            rows[np.flatnonzero(inside), flat] = 1.0
+        cells = self.cells(sample.x)
+        inside = cells >= 0
+        rows = np.zeros((cells.size, self.n))
+        rows[inside, cells[inside]] = 1.0
         return FeatureMatrix(rows, sample.y, sample.weights)
 
 

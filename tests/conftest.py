@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,6 +127,29 @@ def golden_conditional_min(loss, w_pos, w_neg, bracket=60.0, tol=1e-10):
         -bracket, bracket, tol,
     )
     return v
+
+
+def lattice_risk_oracle(cell_probs, resolution, lam):
+    """Exact R_L of x -> H lam (x) >= 0 on the 1-D cell world, in rationals.
+
+    X is uniform on [-1, 1), P(y = +1 | x) is cell_probs[j] on the world cell
+    [-1 + 2j/k, -1 + 2(j+1)/k), and H lam is lam[c] on the lattice cell
+    [c/i - i, (c+1)/i - i).  The world edges and the lattice edges cut [-1, 1)
+    into pieces on which both are constant; each piece adds its mass times
+    its miss probability.
+    """
+    k, i = len(cell_probs), resolution
+    cuts = sorted(
+        {Fraction(2 * j, k) - 1 for j in range(k + 1)}
+        | {Fraction(j, i) for j in range(1 - i, i)}
+    )
+    risk = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = (lo + hi) / 2
+        p_pos = Fraction(cell_probs[math.floor((mid + 1) * k / 2)])
+        pred_pos = lam[math.floor((mid + i) * i)] >= 0.0
+        risk += (hi - lo) / 2 * ((1 - p_pos) if pred_pos else p_pos)
+    return risk
 
 
 def two_search_psi(loss, theta, tol=1e-8):

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from hardcoreboost import experiments
 from hardcoreboost.cli import run
 
 THREE_POINT_CSV = "f1,label\n0.5,1\n0.5,-1\n1.0,1\n"
@@ -149,6 +151,53 @@ class TestSweepCommand:
             "excess_risk_p90,replication_count"
         )
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3}, "missing key 'stages'"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3, "stages": 5},
+             "key 'stages' has an ill-typed value 5"),
+        ],
+        ids=["no-stages", "scalar-stages"],
+    )
+    def test_malformed_config_domain_error(self, capsys, tmp_path, cfg, message):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", str(cfg_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"{cfg_path}: {message}"}
+
+    def test_stage_without_replications_writes_nan(self, tmp_path, monkeypatch):
+        # every replication misses its target, so the stage keeps no risks
+        monkeypatch.setattr(
+            experiments, "coordinate_descent",
+            lambda fm, loss, cfg, target: SimpleNamespace(objective=target + 1.0),
+        )
+        cfg = {
+            "world": {"cell_probs": [0.8, 0.2]},
+            "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}],
+            "seed": 3,
+            "replications": 2,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "curve.csv"
+        assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.read_text().strip().splitlines()[1].endswith(",nan,nan,0")
+
+
+class TestBoundsCommand:
+    def test_certificate_without_p_domain_error(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"core": [0]}))
+        code = run(
+            ["bounds", "--m", "100", "--n", "2", "--delta", "0.1", "--loss", "hinge",
+             "--from-certificate", str(cert)]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": f"{cert}: missing key 'p'"}
 
 
 class TestImpossibilityCommand:

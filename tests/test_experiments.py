@@ -1,8 +1,9 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import box_vertices, golden_conditional_min
+from conftest import box_vertices, golden_conditional_min, lattice_risk_oracle
 
 from hardcoreboost import (
     LatticeNoiseWorld,
@@ -18,7 +19,7 @@ from hardcoreboost import (
     sample_world,
 )
 from hardcoreboost import experiments
-from hardcoreboost.experiments import _LatticePredictor, _train_to_suboptimality
+from hardcoreboost.experiments import _train_to_suboptimality
 from hardcoreboost.hypotheses import LatticeCellClass
 from hardcoreboost.losses import Loss, parse_loss
 from hardcoreboost.lp import STATUS_OPTIMAL, LinearProgram, solve
@@ -259,8 +260,26 @@ class TestLatticeNoiseWorld:
         for j, p in enumerate(w.cell_probs):
             mid = 0.5 * (edges[j] + edges[j + 1])
             lam[cls.cell_index([mid])] = 1.0 if p >= 0.5 else -1.0
-        pred = _LatticePredictor(cls, lam)
-        assert w.classification_risk(pred) == pytest.approx(w.bayes_risk(), abs=1e-12)
+        assert w.classification_risk(cls, lam) == pytest.approx(w.bayes_risk(), abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_classification_risk_matches_rational_oracle(self, k):
+        rng = np.random.default_rng(k)
+        for resolution in range(1, 6):
+            cls = LatticeCellClass(resolution, 1)
+            for _ in range(4):
+                w = LatticeNoiseWorld(tuple(rng.uniform(size=k)))
+                lam = rng.normal(size=cls.n)
+                lam[rng.uniform(size=cls.n) < 0.3] = 0.0  # f = 0 predicts +1
+                exact = lattice_risk_oracle(w.cell_probs, resolution, lam)
+                assert abs(w.classification_risk(cls, lam) - float(exact)) <= 1e-15
+
+    def test_classification_risk_rejects_other_classes(self):
+        w = LatticeNoiseWorld((0.8, 0.2))
+        with pytest.raises(ValueError):
+            w.classification_risk(LatticeCellClass(1, 2), np.zeros(4))
+        with pytest.raises(ValueError):
+            w.classification_risk(LatticeCellClass(2, 1), np.zeros(2))
 
     def test_sample_labels_match_probs(self):
         w = LatticeNoiseWorld((1.0, 0.0))
@@ -300,6 +319,27 @@ class TestConsistencySweep:
             SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01), SweepStage(100, 2, 0.001)))
         with pytest.raises(ValueError):
             SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01), SweepStage(200, 2, 0.01)))
+
+    def test_replications_validation(self):
+        w = LatticeNoiseWorld((0.8, 0.2))
+        with pytest.raises(ValueError, match="replications"):
+            SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01),), replications=0)
+
+    def test_all_failed_stage_reports_nan(self, monkeypatch):
+        monkeypatch.setattr(
+            experiments, "coordinate_descent",
+            lambda fm, loss, cfg, target: SimpleNamespace(objective=target + 1.0),
+        )
+        cfg = SweepConfig(
+            world=LatticeNoiseWorld((0.8, 0.2)),
+            stages=(SweepStage(50, 1, 0.01),),
+            replications=3,
+        )
+        (result,) = consistency_sweep(cfg)
+        assert result.failures == 3 and result.excess_risks.size == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(result.median) and np.isnan(result.p90)
 
     def test_deterministic(self):
         w = LatticeNoiseWorld((0.8, 0.2))
@@ -361,6 +401,7 @@ def test_sweep_target_matches_inline_golden_loop(spec, monkeypatch):
         m = int(rng.integers(20, 200))
         # instances beyond [-1, 1) fall outside the resolution-1 lattice
         sample = Sample(rng.uniform(-1.5, 1.5, size=(m, 1)), rng.choice([-1.0, 1.0], size=m))
-        fm = LatticeCellClass(resolution, 1).materialize(sample)
-        _train_to_suboptimality(fm, loss, 1.0 / m, max_iters=10)
+        cls = LatticeCellClass(resolution, 1)
+        fm = cls.materialize(sample)
+        _train_to_suboptimality(fm, cls.cells(sample.x), loss, 1.0 / m)
         assert targets[-1] == inline_sweep_target(fm, loss, 1.0 / m)

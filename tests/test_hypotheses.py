@@ -100,6 +100,48 @@ class TestLattice:
         assert cls.cell_index([-1.0]) == 0
         assert cls.cell_index([0.0]) == 1
 
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+    def test_cells_agree_with_cell_index_1d(self, resolution):
+        cls = LatticeCellClass(resolution, 1)
+        i = resolution
+        edges = -i + np.arange(cls.n + 1) / i
+        xs = np.concatenate([edges, [np.nextafter(i, 0), i, i + 0.5, -i - 0.5, 1e9, -1e9]])
+        cells = cls.cells(xs[:, None])
+        assert cells.dtype.kind == "i"
+        expected = [cls.cell_index([x]) for x in xs]
+        assert cells.tolist() == [-1 if k is None else k for k in expected]
+        if i in (1, 2, 4):  # edges are exact doubles, so each opens its own cell
+            assert cells[: cls.n].tolist() == list(range(cls.n))
+
+    def test_cells_agree_with_cell_index_2d(self):
+        rng = np.random.default_rng(5)
+        cls = LatticeCellClass(2, 2)
+        grid = -2 + np.arange(cls.cells_per_axis + 1) / 2
+        xs = np.vstack([
+            np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
+            rng.uniform(-3, 3, size=(200, 2)),
+            [[np.nextafter(2, 0), -2.0], [2.0, 0.0], [0.0, -2.5]],
+        ])
+        expected = [cls.cell_index(x) for x in xs]
+        assert cls.cells(xs).tolist() == [-1 if k is None else k for k in expected]
+
+    @pytest.mark.parametrize("resolution, dim", [(1, 1), (3, 1), (2, 2)])
+    def test_materialize_is_one_hot_of_cell_index(self, resolution, dim):
+        rng = np.random.default_rng(6)
+        cls = LatticeCellClass(resolution, dim)
+        xs = rng.uniform(-resolution - 1, resolution + 1, size=(300, dim))
+        one_hot = np.zeros((300, cls.n))
+        for j, x in enumerate(xs):
+            k = cls.cell_index(x)
+            if k is not None:
+                one_hot[j, k] = 1.0
+        fm = cls.materialize(Sample(xs, rng.choice([-1.0, 1.0], size=300)))
+        assert fm.features.tobytes() == one_hot.tobytes()
+
+    def test_cells_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension 2"):
+            LatticeCellClass(1, 2).cells(np.zeros((3, 1)))
+
     def test_span_expressiveness_1d(self):
         # a piecewise-constant target on the cells is exactly H lam with
         # lam = the cell values
