@@ -48,22 +48,23 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
     Per sample point j, the LP max p_j over {p in [0,1]^m : A p = 0} decides
     membership; the sum of the per-point optimizers is a single reweighting
     positive exactly on the core (the finite-sample analogue of closure under
-    countable unions).  Zero-mass points are excluded by convention.
+    countable unions).  Zero-mass points are excluded by convention.  The m
+    LPs share one program, so one cold-started HiGHS model holds the system
+    and each point only sets its objective.
     """
     a = _correlation_matrix(fm)
     m = fm.m
     zero_mass = fm.weights == 0.0
     upper = np.where(zero_mass, 0.0, 1.0)
-
-    def point_lp(j: int):
+    base = LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=upper)
+    solutions = []
+    for j in range(m):
         c = np.zeros(m)
         c[j] = 1.0
-        sol = solve(LinearProgram(c, a_eq=a, b_eq=np.zeros(a.shape[0]), upper=upper))
+        sol = solve(base, c)
         if sol.status != STATUS_OPTIMAL:
             raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
-        return sol
-
-    solutions = [point_lp(j) for j in range(m)]
+        solutions.append(sol)
     optima = np.array([s.value for s in solutions])
     core_mask = optima > tol
     p = np.sum([s.x for s in solutions], axis=0)

@@ -214,11 +214,12 @@ class LatticeCellClass(HypothesisClass):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != self.dim:
             raise ValueError(f"instance must have dimension {self.dim}")
-        i = self.resolution
-        axis = np.floor((xs + i) * i).astype(int)
-        inside = np.all((axis >= 0) & (axis < self.cells_per_axis), axis=1)
+        i, k = self.resolution, self.cells_per_axis
+        inside = np.all((xs >= -i) & (xs < i), axis=1)
+        # (x + i) * i rounds up to 2 i^2 for the largest doubles below i
+        axis = np.minimum(np.floor((xs[inside] + i) * i).astype(int), k - 1)
         out = np.full(xs.shape[0], -1)
-        out[inside] = np.ravel_multi_index(axis[inside].T, (self.cells_per_axis,) * self.dim)
+        out[inside] = np.ravel_multi_index(axis.T, (k,) * self.dim)
         return out
 
     def cell_index(self, x) -> int | None:

@@ -2,16 +2,35 @@
 
 Problems are stated as: maximize c @ x subject to a_eq @ x = b_eq,
 a_ub @ x <= b_ub and lower <= x <= upper (extended-real bounds).  Solving
-is delegated to scipy's HiGHS simplex, which is deterministic and handles
-inequality rows, bounded variables and degenerate polytopes natively.
+is delegated to the HiGHS dual simplex through the bindings scipy ships,
+which is deterministic and handles inequality rows, bounded variables and
+degenerate polytopes natively.
+
+Each program builds one HiGHS model on its first solve: its rows and bounds
+are passed once, and every solve sets the costs and clears the solver, so
+it starts cold and returns the same vertex, bit for bit, as a fresh HiGHS
+instance given the whole program (which is what scipy's own LP front end
+does on every call).  Programs that share a constraint system and differ
+only in the objective, such as the hard core's per-point LPs, are one
+program solved with several objectives.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.sparse import csc_array
+
+try:
+    import scipy.optimize._highspy._core as _highs
+except ImportError as exc:  # missing from older scipy releases
+    raise ImportError(
+        "hardcoreboost needs scipy>=1.15, whose HiGHS bindings "
+        "(scipy.optimize._highspy._core) solve its linear programs"
+    ) from exc
 
 FEASIBILITY_TOL = 1e-8
 MAX_VARIABLES = 10**4
@@ -36,11 +55,9 @@ class LinearProgram:
     b_ub: np.ndarray | None = None  # (k,)
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
+        c = _objective(self.objective, None)
         object.__setattr__(self, "objective", c)
         nv = c.shape[0]
-        if nv > MAX_VARIABLES:
-            raise ValueError(f"at most {MAX_VARIABLES} variables supported")
         for kind, a_name, b_name in (("equality", "a_eq", "b_eq"),
                                      ("inequality", "a_ub", "b_ub")):
             if getattr(self, a_name) is None:
@@ -49,11 +66,13 @@ class LinearProgram:
             b = np.asarray(getattr(self, b_name), dtype=float)
             if a.ndim != 2 or a.shape[1] != nv or b.shape != (a.shape[0],):
                 raise ValueError(f"{kind} system shape mismatch")
+            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+                raise ValueError(f"{kind} system must be finite")
             object.__setattr__(self, a_name, a)
             object.__setattr__(self, b_name, b)
         lo = np.zeros(nv) if self.lower is None else np.asarray(self.lower, dtype=float)
         hi = np.full(nv, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if lo.shape != (nv,) or hi.shape != (nv,) or np.any(lo > hi):
+        if lo.shape != (nv,) or hi.shape != (nv,) or not np.all(lo <= hi):
             raise ValueError("bounds must satisfy lower <= upper, one pair per variable")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -61,6 +80,41 @@ class LinearProgram:
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
+
+    @cached_property
+    def _model(self) -> tuple[_highs._Highs | None, threading.Lock]:
+        """This program's HiGHS instance, None if HiGHS rejected the model,
+        and the lock that keeps its solves from interleaving."""
+        nv = self.n_vars
+        a_ub = np.zeros((0, nv)) if self.a_ub is None else self.a_ub
+        b_ub = np.zeros(0) if self.b_ub is None else self.b_ub
+        a_eq = np.zeros((0, nv)) if self.a_eq is None else self.a_eq
+        b_eq = np.zeros(0) if self.b_eq is None else self.b_eq
+        a = csc_array(np.vstack((a_ub, a_eq)))
+        model = _highs.HighsLp()
+        model.num_col_ = model.a_matrix_.num_col_ = nv
+        model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        model.a_matrix_.start_ = a.indptr
+        model.a_matrix_.index_ = a.indices
+        model.a_matrix_.value_ = a.data
+        model.col_cost_ = np.zeros(nv)
+        model.col_lower_ = self.lower
+        model.col_upper_ = self.upper
+        model.row_lower_ = np.concatenate((np.full(b_ub.shape, -np.inf), b_eq))
+        model.row_upper_ = np.concatenate((b_ub, b_eq))
+        # the options scipy's front end passes for method="highs"
+        options = _highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+        options.log_to_console = False
+        options.output_flag = False
+        highs = _highs._Highs()
+        highs.passOptions(options)
+        if highs.passModel(model) == _highs.HighsStatus.kError:
+            highs = None
+        return highs, threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -75,27 +129,47 @@ class LpSolution:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve the program; raises LpError only on backend numerical failure."""
-    res = linprog(
-        -lp.objective,
-        A_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=list(zip(lp.lower, lp.upper)),
-        method="highs",
-    )
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        value = float(lp.objective @ x)
+def _objective(c, nv: int | None) -> np.ndarray:
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.shape[0] == 0 or (nv is not None and c.shape[0] != nv):
+        raise ValueError("objective must be a nonempty vector, one entry per variable")
+    if c.shape[0] > MAX_VARIABLES:
+        raise ValueError(f"at most {MAX_VARIABLES} variables supported")
+    if not np.isfinite(c).all():
+        raise ValueError("objective must be finite")
+    return c
+
+
+def solve(lp: LinearProgram, objective=None) -> LpSolution:
+    """Maximize objective @ x (default lp.objective) over the program's feasible set.
+
+    Every solve starts HiGHS cold, so the result does not depend on earlier
+    solves of the same program.  Raises LpError only on backend numerical
+    failure.
+    """
+    c = lp.objective if objective is None else _objective(objective, lp.n_vars)
+    highs, lock = lp._model
+    status, x, iterations = _highs.HighsModelStatus.kModelError, None, 0
+    # HiGHS rejecting the model or the costs is a kModelError, which scipy's
+    # front end reports as infeasible
+    if highs is not None:
+        with lock:
+            columns = np.arange(c.shape[0], dtype=np.int32)
+            if highs.changeColsCost(c.shape[0], columns, -c) != _highs.HighsStatus.kError:
+                highs.clearSolver()
+                highs.run()
+                status = highs.getModelStatus()
+                iterations = int(highs.getInfo().simplex_iteration_count)
+                if status == _highs.HighsModelStatus.kOptimal:
+                    x = np.array(highs.getSolution().col_value)
+    if status == _highs.HighsModelStatus.kOptimal:
         _check_feasible(lp, x)
-        return LpSolution(STATUS_OPTIMAL, value, x, int(res.nit))
-    if res.status == 2:
-        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, int(res.nit))
-    if res.status == 3:
-        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, int(res.nit))
-    raise LpError(f"LP backend failed: {res.message}")
+        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, iterations)
+    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
+        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, iterations)
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, iterations)
+    raise LpError(f"LP backend failed: {highs.modelStatusToString(status)}")
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL):

@@ -2,11 +2,70 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linprog
+
+from hardcoreboost.lp import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    STATUS_UNBOUNDED,
+    LpError,
+    LpSolution,
+    _check_feasible,
+)
+
+
+def linprog_solve(lp, objective=None):
+    """`lp.solve` by one scipy `linprog(method="highs")` call per solve.
+
+    The solver drives HiGHS with the options linprog passes and starts every
+    solve cold, so the two must agree bit for bit: status, value, x and
+    iteration count.
+    """
+    c = lp.objective if objective is None else np.asarray(objective, dtype=float)
+    res = linprog(
+        -c,
+        A_ub=lp.a_ub,
+        b_ub=lp.b_ub,
+        A_eq=lp.a_eq,
+        b_eq=lp.b_eq,
+        bounds=list(zip(lp.lower, lp.upper)),
+        method="highs",
+    )
+    if res.status == 0:
+        x = np.asarray(res.x, dtype=float)
+        _check_feasible(lp, x)
+        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, int(res.nit))
+    if res.status == 2:
+        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, int(res.nit))
+    if res.status == 3:
+        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, int(res.nit))
+    raise LpError(f"LP backend failed: {res.message}")
+
+
+def assert_same_solution(got, want):
+    """Bitwise equality of two LpSolutions."""
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+
+
+def planted_problem(m, n, core_frac, rng):
+    """The benchmark's planted generator (bench/planted.py): (x, y, core)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "planted.py"
+    spec = importlib.util.spec_from_file_location("bench_planted", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.planted_problem(m, n, core_frac, rng)
 
 
 def box_vertices(a_eq, b_eq, lower, upper, tol=1e-9):

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from conftest import decorrelation_support_oracle, random_sign_problem
+from conftest import (
+    decorrelation_support_oracle,
+    linprog_solve,
+    planted_problem,
+    random_sign_problem,
+)
 
 from hardcoreboost import (
     FeatureMatrix,
@@ -11,6 +16,7 @@ from hardcoreboost import (
     separator_certificate,
     verify_dichotomy,
 )
+from hardcoreboost import hardcore
 from hardcoreboost.hardcore import _correlation_matrix
 from hardcoreboost.losses import Loss
 
@@ -139,6 +145,36 @@ class TestPrimalDualAgreement:
                 marg = _correlation_matrix(fm).T @ cert.separator
                 comp = ~cert.core_mask(fm.m)
                 assert marg[comp].min() > 0
+
+
+class TestLinprogOracle:
+    """compute_hardcore against itself with every LP a fresh linprog call:
+    the m per-point LPs share one program, which must not move a bit."""
+
+    @staticmethod
+    def assert_matches_linprog(fm, monkeypatch):
+        cert = compute_hardcore(fm)
+        with monkeypatch.context() as patch:
+            patch.setattr(hardcore, "solve", linprog_solve)
+            want = compute_hardcore(fm)
+        for name in ("core", "p", "point_optima", "separator"):
+            got, ref = getattr(cert, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+        assert np.float64(cert.margin).tobytes() == np.float64(want.margin).tobytes()
+        return cert
+
+    @pytest.mark.parametrize("m, n, core_frac", [
+        (160, 8, 0.0), (160, 8, 0.5), (160, 8, 1.0), (48, 6, 0.5),
+    ])
+    def test_planted_inputs(self, m, n, core_frac, monkeypatch):
+        x, y, core = planted_problem(m, n, core_frac, np.random.default_rng(m + int(4 * core_frac)))
+        cert = self.assert_matches_linprog(FeatureMatrix(x, y), monkeypatch)
+        assert cert.core.tolist() == core.tolist()
+
+    def test_random_sign_problems(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            self.assert_matches_linprog(random_sign_problem(rng), monkeypatch)
 
 
 class TestDichotomy:

@@ -138,6 +138,21 @@ class TestLattice:
         fm = cls.materialize(Sample(xs, rng.choice([-1.0, 1.0], size=300)))
         assert fm.features.tobytes() == one_hot.tobytes()
 
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+    def test_largest_double_below_the_top_edge_is_in_the_last_cell(self, resolution):
+        # (x + i) * i rounds up to 2 i^2 for x = nextafter(i, 0)
+        i = resolution
+        top = np.nextafter(float(i), 0.0)
+        line = LatticeCellClass(i, 1)
+        last = line.cells_per_axis - 1
+        assert line.cell_index([top]) == last
+        assert line.cell_index([float(i)]) is None
+        plane = LatticeCellClass(i, 2)
+        xs = np.array([[top, top], [top, -i], [-i, top], [top, float(i)]])
+        assert plane.cells(xs).tolist() == [plane.n - 1, last * plane.cells_per_axis, last, -1]
+        fm = plane.materialize(Sample(xs, np.ones(4)))
+        assert fm.features.sum(axis=1).tolist() == [1.0, 1.0, 1.0, 0.0]
+
     def test_cells_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension 2"):
             LatticeCellClass(1, 2).cells(np.zeros((3, 1)))

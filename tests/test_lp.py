@@ -1,6 +1,13 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
-from conftest import box_vertices
+from conftest import assert_same_solution, box_vertices, linprog_solve, planted_problem
+
+from hardcoreboost import FeatureMatrix
+from hardcoreboost.hardcore import _correlation_matrix
 
 from hardcoreboost.lp import (
     STATUS_INFEASIBLE,
@@ -218,3 +225,120 @@ def test_solution_feasibility_contract():
         if lp.a_ub is not None:
             assert np.max(lp.a_ub @ sol.x - lp.b_ub) <= 1e-8
         assert abs(float(lp.objective @ sol.x) - sol.value) <= 1e-8
+
+
+def free_lower_lp(rng):
+    """A bounded LP in which some variables have no lower bound."""
+    lp = random_bounded_lp(rng, inequalities=True)
+    lower = lp.lower.copy()
+    lower[rng.random(lp.n_vars) < 0.5] = -np.inf
+    return LinearProgram(lp.objective, lp.a_eq, lp.b_eq, lower, lp.upper, lp.a_ub, lp.b_ub)
+
+
+@pytest.mark.parametrize("make", [
+    random_bounded_lp,
+    lambda rng: random_bounded_lp(rng, inequalities=True),
+    free_lower_lp,
+], ids=["equalities", "inequalities", "free-lower"])
+def test_matches_linprog_bitwise(make):
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for _ in range(100):
+        lp = make(rng)
+        sol = solve(lp)
+        assert_same_solution(sol, linprog_solve(lp))
+        # the same program solved again, and with another objective, starts cold
+        other = rng.normal(size=lp.n_vars)
+        assert_same_solution(solve(lp, other), linprog_solve(lp, other))
+        assert_same_solution(solve(lp), sol)
+        statuses.add(sol.status)
+    assert STATUS_OPTIMAL in statuses
+
+
+@pytest.mark.parametrize("lp", [
+    LinearProgram(np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
+                  upper=np.array([1.0])),
+    LinearProgram(np.ones(2), upper=np.ones(2), a_ub=np.array([[-1.0, -1.0]]),
+                  b_ub=np.array([-3.0])),
+    LinearProgram(np.array([1.0, -1.0]), lower=np.full(2, -np.inf)),
+    LinearProgram(np.array([1.0, 1.0]), a_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.5])),
+    # HiGHS rejects a matrix entry above 1e15 when the model is passed
+    LinearProgram(np.ones(2), a_eq=np.array([[1e16, 1.0]]), b_eq=np.ones(1), upper=np.ones(2)),
+], ids=["infeasible-equality", "infeasible-inequality", "unbounded-free", "unbounded-ray",
+        "rejected-model"])
+def test_infeasible_and_unbounded_match_linprog(lp):
+    sol = solve(lp)
+    assert sol.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)
+    assert_same_solution(sol, linprog_solve(lp))
+
+
+def test_objective_argument_is_checked():
+    lp = LinearProgram(np.zeros(2), upper=np.ones(2))
+    with pytest.raises(ValueError, match="one entry per variable"):
+        solve(lp, np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        solve(lp, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram(np.zeros(2), a_eq=np.array([[1.0, np.inf]]), b_eq=np.zeros(1))
+
+
+def test_per_point_solutions_do_not_depend_on_call_order():
+    rng = np.random.default_rng(3)
+    x, y, _ = planted_problem(160, 8, 0.5, rng)
+    a = _correlation_matrix(FeatureMatrix(x, y))
+    m = a.shape[1]
+
+    def program():
+        return LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=np.ones(m))
+
+    base = program()
+    points = np.identity(m)
+    forward = [solve(base, points[j]) for j in range(m)]
+    backward = [solve(base, points[j]) for j in reversed(range(m))][::-1]
+    fresh = [solve(program(), points[j]) for j in range(m)]
+    for f, b, s in zip(forward, backward, fresh):
+        assert_same_solution(b, f)
+        assert_same_solution(s, f)
+
+
+def test_import_names_the_scipy_it_needs(monkeypatch):
+    loaded = {name for name in sys.modules if name.partition(".")[0] == "hardcoreboost"}
+    for name in loaded:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    try:
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            importlib.import_module("hardcoreboost")
+    finally:
+        for name in [n for n in sys.modules if n.partition(".")[0] == "hardcoreboost"]:
+            del sys.modules[name]
+
+
+def test_concurrent_solves_of_one_program_do_not_interleave():
+    rng = np.random.default_rng(12)
+    lp = random_bounded_lp(rng, inequalities=True)
+    objectives = rng.normal(size=(8, lp.n_vars))
+    want = [solve(lp, c) for c in objectives]
+    errors = []
+
+    def worker(k):
+        try:
+            for _ in range(40):
+                for j in range(k, k + len(objectives)):
+                    j %= len(objectives)
+                    assert_same_solution(solve(lp, objectives[j]), want[j])
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
