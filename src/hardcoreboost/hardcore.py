@@ -37,11 +37,6 @@ class HardCoreCertificate:
         return region_to_mask(self.core, m)
 
 
-def _correlation_matrix(fm: FeatureMatrix) -> np.ndarray:
-    """A with A[i, j] = y_j h_i(x_j)."""
-    return (fm.features * fm.labels[:, None]).T
-
-
 def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertificate:
     """Compute and verify the hard core of the sampled problem.
 
@@ -52,7 +47,7 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
     LPs share one program, so one cold-started HiGHS model holds the system
     and each point only sets its objective.
     """
-    a = _correlation_matrix(fm)
+    a = fm.correlations
     m = fm.m
     zero_mass = fm.weights == 0.0
     upper = np.where(zero_mass, 0.0, 1.0)
@@ -124,7 +119,7 @@ def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
     n = fm.n
     if comp.size == 0:
         return np.zeros(n), float("inf")
-    a = _correlation_matrix(fm)  # (n, m)
+    a = fm.correlations
     lam, t = _max_margin(a[:, mask].T, a[:, comp].T)
     if t <= 1e-9:
         raise HardCoreInconsistencyError(
@@ -134,7 +129,7 @@ def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
 
 
 def _verify_certificate(fm: FeatureMatrix, cert: HardCoreCertificate, tol: float):
-    a = _correlation_matrix(fm)
+    a = fm.correlations
     mask = cert.core_mask(fm.m)
     if np.any(cert.p[~mask] != 0.0) or np.any(cert.p[mask] <= 0.0):
         raise HardCoreInconsistencyError("p is not positive exactly on the core")
@@ -168,7 +163,7 @@ def verify_dichotomy(fm: FeatureMatrix, core, trials: int, seed: int,
     or include a strictly negative one.  Violations are counted, not thrown.
     """
     mask = region_to_mask(core, fm.m)
-    a_core = _correlation_matrix(fm)[:, mask]  # (n, |core|)
+    a_core = fm.correlations[:, mask]  # (n, |core|)
     rng = np.random.default_rng(seed)
     violations = 0
     if a_core.shape[1] == 0:

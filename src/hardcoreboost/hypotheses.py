@@ -2,15 +2,19 @@
 
 Three kinds are provided: coordinate projections over [-1, +1]^d, lattice
 subcube indicators tiling [-i, i)^d at resolution i (the structural-risk
-family used by the consistency experiments), and explicit pass-through
-feature tables.
+family used by the consistency experiments), and fixed feature tables read
+from a file.  Each class has one evaluator, materialize, which turns a
+sample into a FeatureMatrix; the algorithms read H only through that matrix
+and its correlation matrix FeatureMatrix.correlations.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,8 +34,8 @@ def _point_masses(labels: np.ndarray, weights) -> np.ndarray:
     if weights is None:
         return np.full(labels.size, 1.0 / labels.size)
     w = np.asarray(weights, dtype=float)
-    if w.shape != labels.shape or np.any(w < 0):
-        raise ValueError("weights must be nonnegative, one per point")
+    if w.shape != labels.shape or not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative, one per point")
     if abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
     return w
@@ -131,6 +135,11 @@ class FeatureMatrix:
     def n(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def correlations(self) -> np.ndarray:
+        """The (n, m) correlation matrix A with A[i, j] = y_j h_i(x_j)."""
+        return (self.features * self.labels[:, None]).T
+
 
 class HypothesisClass(abc.ABC):
     """A finite family {h_i} of features mapping instances into [-1, +1]."""
@@ -138,23 +147,8 @@ class HypothesisClass(abc.ABC):
     n: int
 
     @abc.abstractmethod
-    def evaluate(self, x) -> np.ndarray:
-        """All hypothesis values (h_1(x), ..., h_n(x)) for one instance."""
-
-    def apply(self, lam: np.ndarray, x) -> float:
-        """(H lam)(x) = sum_i lam_i h_i(x)."""
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (self.n,):
-            raise ValueError(f"weighting must have length {self.n}")
-        return float(self.evaluate(x) @ lam)
-
     def materialize(self, sample) -> FeatureMatrix:
         """Evaluate every hypothesis on every sample point."""
-        xs = np.atleast_2d(np.asarray(sample.x, dtype=float))
-        if xs.shape[0] == 0:
-            raise ValueError("sample is empty")
-        rows = np.vstack([self.evaluate(x) for x in xs])
-        return FeatureMatrix(rows, sample.y, sample.weights)
 
 
 @dataclass(frozen=True)
@@ -167,14 +161,6 @@ class ProjectionClass(HypothesisClass):
     def n(self) -> int:
         return self.dim
 
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.dim,):
-            raise ValueError(f"instance must have dimension {self.dim}")
-        if np.any(np.abs(x) > 1.0 + 1e-12):
-            raise ValueError("projection instances must lie in [-1, +1]^d")
-        return x
-
     def materialize(self, sample) -> FeatureMatrix:
         xs = np.atleast_2d(np.asarray(sample.x, dtype=float))
         if xs.shape[1] != self.dim:
@@ -186,7 +172,7 @@ class ProjectionClass(HypothesisClass):
 class LatticeCellClass(HypothesisClass):
     """Indicators of the (2 i^2)^d half-open subcubes of side 1/i tiling [-i, i)^d.
 
-    Points outside the support cube get all-zero features.
+    Points outside the support cube, +-inf included, get all-zero features.
     """
 
     resolution: int
@@ -210,28 +196,24 @@ class LatticeCellClass(HypothesisClass):
         return self.cells_per_axis**self.dim
 
     def cells(self, xs) -> np.ndarray:
-        """Flat subcube index of each row of xs (m, dim), -1 for rows outside."""
+        """Flat subcube index of each row of xs (m, dim), -1 for rows outside.
+
+        Exact for every double: where (x + i) * i lands within rounding of a
+        cell edge, the axis cell is recomputed in rationals.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if xs.shape[1] != self.dim:
             raise ValueError(f"instance must have dimension {self.dim}")
+        if np.isnan(xs).any():
+            raise ValueError("lattice instances must not be NaN")
         i, k = self.resolution, self.cells_per_axis
         inside = np.all((xs >= -i) & (xs < i), axis=1)
-        # (x + i) * i rounds up to 2 i^2 for the largest doubles below i
-        axis = np.minimum(np.floor((xs[inside] + i) * i).astype(int), k - 1)
+        t = (xs[inside] + i) * i
+        axis = np.floor(t)
+        near = np.abs(t - np.rint(t)) <= 1e-9 * k
+        axis[near] = [math.floor((Fraction(x) + i) * i) for x in xs[inside][near]]
         out = np.full(xs.shape[0], -1)
-        out[inside] = np.ravel_multi_index(axis.T, (k,) * self.dim)
-        return out
-
-    def cell_index(self, x) -> int | None:
-        """Flat index of the subcube containing x, or None when x is outside."""
-        k = int(self.cells(np.reshape(x, (1, -1)))[0])
-        return None if k < 0 else k
-
-    def evaluate(self, x) -> np.ndarray:
-        out = np.zeros(self.n)
-        k = self.cell_index(x)
-        if k is not None:
-            out[k] = 1.0
+        out[inside] = np.ravel_multi_index(axis.astype(int).T, (k,) * self.dim)
         return out
 
     def materialize(self, sample) -> FeatureMatrix:
@@ -242,39 +224,30 @@ class LatticeCellClass(HypothesisClass):
         return FeatureMatrix(rows, sample.y, sample.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitClass(HypothesisClass):
-    """Pass-through features: instances are already rows of hypothesis values.
+    """A fixed (m, n) table of hypothesis values, row j on sample point j.
 
-    When a fixed table is attached, materialize ignores the sample instances
-    and uses the table rows (matched by index) instead.
+    materialize ignores the sample instances and pairs the table rows, by
+    index, with the sample's labels and weights.
     """
 
-    n_features: int
-    table: np.ndarray | None = field(default=None, compare=False)
+    table: np.ndarray
+
+    def __post_init__(self):
+        table = np.asarray(self.table, dtype=float)
+        if table.ndim != 2:
+            raise ValueError("feature table must be two-dimensional")
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
-        return self.n_features
-
-    def evaluate(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (self.n_features,):
-            raise ValueError(f"instance must have {self.n_features} feature values")
-        if np.any(np.abs(x) > 1.0 + 1e-12):
-            raise ValueError("explicit feature values must lie in [-1, +1]")
-        return x
+        return self.table.shape[1]
 
     def materialize(self, sample) -> FeatureMatrix:
-        if self.table is not None:
-            tab = np.asarray(self.table, dtype=float)
-            if tab.shape[0] != len(sample.y):
-                raise ValueError("feature table row count must match the sample")
-            return FeatureMatrix(tab, sample.y, sample.weights)
-        xs = np.atleast_2d(np.asarray(sample.x, dtype=float))
-        if xs.shape[1] != self.n_features:
-            raise ValueError(f"instance must have {self.n_features} feature values")
-        return FeatureMatrix(xs, sample.y, sample.weights)
+        if self.table.shape[0] != len(sample.y):
+            raise ValueError("feature table row count must match the sample")
+        return FeatureMatrix(self.table, sample.y, sample.weights)
 
 
 def lsrm_schedule(dim: int, i_max: int) -> list[LatticeCellClass]:
@@ -294,5 +267,5 @@ def parse_class_spec(spec: str) -> HypothesisClass:
         return LatticeCellClass(int(res), int(dim))
     if spec.startswith("explicit:"):
         _, table = _read_csv(spec.split(":", 1)[1])
-        return ExplicitClass(table.shape[1], table=table)
+        return ExplicitClass(table)
     raise ValueError(f"unknown class spec {spec!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import golden_max
-from .hardcore import HardCoreCertificate, _correlation_matrix
+from .hardcore import HardCoreCertificate
 from .hypotheses import FeatureMatrix
 from .losses import Loss, UnsupportedLossError
 from .risk import margins, surrogate_risk
@@ -254,21 +254,28 @@ def optimize(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> OptRun:
     return coordinate_descent(fm, loss, cfg)
 
 
-def dual_lower_bound(fm: FeatureMatrix, loss: Loss, p) -> float:
-    """Weak-duality lower bound -(1/m) sum phi*(p_j) on the optimal risk.
+def _dual_value(loss: Loss, weights: np.ndarray, q: np.ndarray) -> float:
+    """The dual value -sum_j w_j phi*(q_j), over the points of positive mass."""
+    live = weights > 0
+    return float(-np.sum(weights[live] * loss.conjugate(q[live])))
 
-    p must be a nonnegative decorrelating reweighting of the (uniform)
-    empirical measure; the largest constraint violation is reported
-    otherwise.
+
+def dual_lower_bound(fm: FeatureMatrix, loss: Loss, q) -> float:
+    """Weak-duality lower bound -sum_j w_j phi*(q_j) on the optimal risk.
+
+    q is a density with respect to the point masses w: it must be finite and
+    nonnegative, and the reweighting w q must decorrelate every feature from
+    the labels, A (w q) = 0.  The largest violation, in units of max_j w_j,
+    is reported otherwise.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (fm.m,) or np.any(p < 0):
-        raise ValueError("p must be a nonnegative vector, one entry per point")
-    viol = float(np.abs(_correlation_matrix(fm) @ p).max(initial=0.0))
+    q = np.asarray(q, dtype=float)
+    if q.shape != (fm.m,) or not np.all(np.isfinite(q) & (q >= 0)):
+        raise ValueError("q must be a finite nonnegative vector, one entry per point")
+    w = fm.weights
+    viol = float(np.abs(fm.correlations @ (w * q)).max(initial=0.0)) / w.max()
     if viol > DECORRELATION_TOL:
-        raise ValueError(f"p is not decorrelating: max violation {viol:g}")
-    conj = np.asarray(loss.conjugate(p), dtype=float)
-    return float(-np.mean(conj))
+        raise ValueError(f"q is not decorrelating: max violation {viol:g}")
+    return _dual_value(loss, w, q)
 
 
 def suboptimality_certificate(
@@ -276,28 +283,25 @@ def suboptimality_certificate(
 ) -> float:
     """Duality gap of lam against the best rescaling of the certificate's p.
 
-    The decorrelating p stays decorrelating under scaling, so the dual value
-    -(1/m) sum phi*(s p_j) is maximized over s >= 0 by golden section; the
+    The decorrelating p stays decorrelating under scaling, so every density
+    q = s p / w (0 off the core) is dual feasible.  Its dual value
+    -sum_j w_j phi*(q_j) is maximized over s >= 0 by golden section; the
     result is primal minus that bound and is nonnegative up to tolerance.
     """
     primal = surrogate_risk(fm, lam, loss)
-    p = cert.p
-    if p.max(initial=0.0) == 0.0:
+    w = fm.weights
+    # p is 0 on zero-mass points, which the core excludes
+    unit = np.divide(cert.p, w, out=np.zeros(fm.m), where=w > 0)
+    if unit.max(initial=0.0) == 0.0:
         return primal  # dual value 0 from the zero reweighting
-    pmax = float(p.max())
 
     def dual_of(s: float) -> float:
-        conj = np.asarray(loss.conjugate(s * p), dtype=float)
-        if not np.all(np.isfinite(conj)):
-            return -math.inf
-        return float(-np.mean(conj))
+        return _dual_value(loss, w, s * unit)
 
-    if loss.kind in ("logistic", "hinge"):
-        s_hi = 1.0 / pmax  # conjugate domain ends at 1
-    else:
-        s_hi = 1.0
-        while dual_of(2.0 * s_hi) > dual_of(s_hi) and s_hi < 1e12:
+    s_one = s_hi = 1.0 / float(unit.max())  # the scale at which max_j q_j = 1
+    if loss.kind not in ("logistic", "hinge"):  # whose conjugate domain ends at 1
+        while dual_of(2.0 * s_hi) > dual_of(s_hi) and s_hi < 1e12 * s_one:
             s_hi *= 2.0
         s_hi *= 2.0
-    _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * max(1.0, s_hi))
+    _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
     return primal - dual

@@ -211,6 +211,35 @@ def lattice_risk_oracle(cell_probs, resolution, lam):
     return risk
 
 
+def exact_cell_oracle(x, resolution):
+    """Flat index of the lattice cell holding the point x, in rationals; -1 outside.
+
+    Axis coordinate v lies in cell floor((v + i) i) of [-i, i) at resolution
+    i; the flat index orders the axes as numpy's C order does.
+    """
+    i, k = resolution, 2 * resolution * resolution
+    index = 0
+    for v in x:
+        if not math.isfinite(v) or not -i <= Fraction(v) < i:
+            return -1
+        index = index * k + math.floor((Fraction(v) + i) * i)
+    return index
+
+
+def near_edge_doubles(resolution, ulps=3):
+    """Every double within ulps of a cell edge of [-i, i] at resolution i."""
+    i = resolution
+    out = []
+    for c in range(2 * i * i + 1):
+        edge = float(Fraction(c, i) - i)
+        out.append(edge)
+        up = down = edge
+        for _ in range(ulps):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            out += [up, down]
+    return np.array(out)
+
+
 def two_search_psi(loss, theta, tol=1e-8):
     """psi(theta) with H and the wrong-side H^- each golden-searched on [-50, 50]."""
     from hardcoreboost._scalar import golden_min

@@ -12,7 +12,6 @@ import pytest
 from conftest import decorrelation_support_oracle, grid_min_risk, random_sign_problem
 
 import hardcoreboost as hb
-from hardcoreboost.hardcore import _correlation_matrix
 from hardcoreboost.losses import Loss
 
 
@@ -40,7 +39,7 @@ def test_acceptance_1_hardcore_oracle_equivalence(report):
     mismatches = 0
     for fm in _battery():
         cert = hb.compute_hardcore(fm)
-        oracle = decorrelation_support_oracle(_correlation_matrix(fm))
+        oracle = decorrelation_support_oracle(fm.correlations)
         if not np.array_equal(cert.core, oracle):
             mismatches += 1
             continue
@@ -194,7 +193,7 @@ def test_acceptance_6_calibration_inequality(report):
                     weights.append(w)
                     feat_rows.append(table[i])
             s = hb.Sample(np.array(rows), np.array(labels), np.array(weights))
-            fm = hb.ExplicitClass(k, table=np.array(feat_rows)).materialize(s)
+            fm = hb.ExplicitClass(np.array(feat_rows)).materialize(s)
             lam = rng.normal(scale=2, size=fm.n)
             excess_l = hb.classification_risk(fm, lam) - hb.bayes_risk_discrete(s)
             excess_phi = hb.surrogate_risk(fm, lam, loss) - hb.bayes_surrogate_risk(s, loss)

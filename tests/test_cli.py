@@ -50,8 +50,9 @@ class TestExitCodes:
             ("f1,f2,label\n0.5,0.5,1\n0.5,-1\n", "bad.csv: line 3: the number of columns is 2, not 3"),
             ("f1,label\n", "no data rows"),
             ("f1,label\n0.5,1\n0.5,x\n", "bad.csv: line 3: could not convert string 'x'"),
+            ("f1,label,weight\n0.5,1,nan\n0.5,-1,1.0\n", "weights must be finite"),
         ],
-        ids=["fractional-label", "ragged-row", "header-only", "non-numeric-line"],
+        ids=["fractional-label", "ragged-row", "header-only", "non-numeric-line", "nan-weight"],
     )
     def test_malformed_dataset_domain_error(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "bad.csv"
@@ -63,6 +64,16 @@ class TestExitCodes:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and message in err["message"]
         assert "usecols" not in err["message"]
+
+
+    @pytest.mark.parametrize("command", [["train"], ["hardcore", "--seed", "3"]])
+    def test_nan_lattice_instance_domain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "nx.csv"
+        path.write_text("f1,label\n0.5,1\nnan,-1\n")
+        code = run([command[0], str(path), "--class", "lattice:1x1", *command[1:]])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "NaN" in err["message"]
 
 
 class TestHardcoreCommand:

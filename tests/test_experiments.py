@@ -259,7 +259,7 @@ class TestLatticeNoiseWorld:
         edges = w.cell_edges()
         for j, p in enumerate(w.cell_probs):
             mid = 0.5 * (edges[j] + edges[j + 1])
-            lam[cls.cell_index([mid])] = 1.0 if p >= 0.5 else -1.0
+            lam[cls.cells([[mid]])[0]] = 1.0 if p >= 0.5 else -1.0
         assert w.classification_risk(cls, lam) == pytest.approx(w.bayes_risk(), abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])

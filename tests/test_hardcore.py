@@ -17,7 +17,6 @@ from hardcoreboost import (
     verify_dichotomy,
 )
 from hardcoreboost import hardcore
-from hardcoreboost.hardcore import _correlation_matrix
 from hardcoreboost.losses import Loss
 
 
@@ -52,7 +51,7 @@ class TestComputeHardcore:
         # p solves 0.5 p1 - 0.5 p2 + p3 = 0 with all entries positive
         assert np.all(cert.p > 0)
         assert abs(0.5 * cert.p[0] - 0.5 * cert.p[1] + cert.p[2]) <= 1e-7
-        oracle = decorrelation_support_oracle(_correlation_matrix(fm))
+        oracle = decorrelation_support_oracle(fm.correlations)
         assert np.array_equal(cert.core, oracle)
 
     def test_decorrelation_invariant(self):
@@ -60,7 +59,7 @@ class TestComputeHardcore:
         for _ in range(20):
             fm = random_sign_problem(rng)
             cert = compute_hardcore(fm)
-            a = _correlation_matrix(fm)
+            a = fm.correlations
             assert np.abs(a @ cert.p).max(initial=0.0) <= 1e-7
             mask = cert.core_mask(fm.m)
             assert np.all(cert.p[mask] > 0)
@@ -137,12 +136,12 @@ class TestPrimalDualAgreement:
         for _ in range(50):
             fm = random_sign_problem(rng)
             cert = compute_hardcore(fm)
-            oracle = decorrelation_support_oracle(_correlation_matrix(fm))
+            oracle = decorrelation_support_oracle(fm.correlations)
             # zero-weight convention is irrelevant here (uniform weights)
             assert np.array_equal(cert.core, oracle)
             # separator side: strictly positive margins exactly off the core
             if cert.core.size < fm.m:
-                marg = _correlation_matrix(fm).T @ cert.separator
+                marg = fm.correlations.T @ cert.separator
                 comp = ~cert.core_mask(fm.m)
                 assert marg[comp].min() > 0
 

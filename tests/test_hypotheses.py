@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import exact_cell_oracle, near_edge_doubles
 
 from hardcoreboost import (
     ExplicitClass,
@@ -9,38 +10,56 @@ from hardcoreboost import (
     ResourceLimitError,
     Sample,
     lsrm_schedule,
+    margins,
     parse_class_spec,
 )
+
+
+def h_lam(cls, lam, xs):
+    """(H lam)(x) on each row of xs, through the materialized features."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    fm = cls.materialize(Sample(xs, np.ones(len(xs))))
+    return margins(fm, lam)
+
+
+def one_hot_of_oracle(cls, xs):
+    rows = np.zeros((len(xs), cls.n))
+    for j, x in enumerate(xs):
+        k = exact_cell_oracle(x, cls.resolution)
+        if k >= 0:
+            rows[j, k] = 1.0
+    return rows
 
 
 class TestApply:
     def test_projection(self):
         cls = ProjectionClass(2)
-        assert cls.apply(np.array([-1.0, 1.0]), np.array([0.3, 0.8])) == pytest.approx(0.5)
+        assert h_lam(cls, np.array([-1.0, 1.0]), [0.3, 0.8])[0] == pytest.approx(0.5)
 
     def test_zero_weighting(self):
         cls = ProjectionClass(3)
-        assert cls.apply(np.zeros(3), np.array([0.1, -0.4, 0.9])) == 0.0
+        assert h_lam(cls, np.zeros(3), [0.1, -0.4, 0.9])[0] == 0.0
 
     def test_lattice_one_hot(self):
         cls = LatticeCellClass(1, 1)
         # the 2 cells of [-1, 1) at i=1 are [-1, 0) and [0, 1)
         lam = np.zeros(cls.n)
-        lam[cls.cell_index([0.5])] = 1.0
-        assert cls.apply(lam, np.array([0.5])) == 1.0
-        assert cls.apply(lam, np.array([-0.5])) == 0.0
+        lam[cls.cells([[0.5]])[0]] = 1.0
+        assert h_lam(cls, lam, [[0.5], [-0.5]]).tolist() == [1.0, 0.0]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ProjectionClass(2).apply(np.zeros(3), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="length 2"):
+            h_lam(ProjectionClass(2), np.zeros(3), [0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension 2"):
+            h_lam(ProjectionClass(2), np.zeros(2), [0.0, 0.0, 0.0])
 
     def test_apply_bounded_by_l1_norm(self):
         rng = np.random.default_rng(0)
-        cls = ProjectionClass(4)
-        for _ in range(50):
-            lam = rng.normal(size=4)
-            x = rng.uniform(-1, 1, size=4)
-            assert abs(cls.apply(lam, x)) <= np.abs(lam).sum() + 1e-12
+        for cls, dim in ((ProjectionClass(4), 4), (LatticeCellClass(2, 2), 2)):
+            for _ in range(50):
+                lam = rng.normal(size=cls.n)
+                x = rng.uniform(-1, 1, size=dim)
+                assert abs(h_lam(cls, lam, x)[0]) <= np.abs(lam).sum() + 1e-12
 
 
 class TestMaterialize:
@@ -53,19 +72,33 @@ class TestMaterialize:
         fm = LatticeCellClass(1, 1).materialize(Sample(np.array([[0.5]]), np.array([1.0])))
         assert np.array_equal(fm.features, [[0.0, 1.0]])
 
-    def test_explicit_passthrough(self):
+    def test_projection_passthrough(self):
         table = np.array([[0.2, -0.3], [0.9, 0.1]])
-        fm = ExplicitClass(2).materialize(Sample(table, np.array([1.0, -1.0])))
+        fm = ProjectionClass(2).materialize(Sample(table, np.array([1.0, -1.0])))
         assert np.array_equal(fm.features, table)
 
-    def test_matches_per_point_evaluate(self):
+    def test_explicit_table_replaces_the_instances(self):
+        table = np.array([[0.2, -0.3], [0.9, 0.1]])
+        cls = ExplicitClass(table)
+        assert cls.n == 2
+        fm = cls.materialize(Sample(np.zeros((2, 5)), np.array([1.0, -1.0]), [0.25, 0.75]))
+        assert np.array_equal(fm.features, table) and fm.weights.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError, match="row count"):
+            cls.materialize(Sample(np.zeros((3, 2)), np.ones(3)))
+
+    def test_explicit_class_compares_by_identity(self):
+        table = np.array([[0.5]])
+        assert ExplicitClass(table) != ExplicitClass(table)
+        cls = ExplicitClass(table)
+        assert cls == cls and len({cls, cls}) == 1
+
+    def test_lattice_rows_match_the_cell_oracle_in_3d(self):
         rng = np.random.default_rng(1)
-        cls = LatticeCellClass(2, 2)
-        xs = rng.uniform(-3, 3, size=(20, 2))
-        sample = Sample(xs, rng.choice([-1.0, 1.0], size=20))
-        fm = cls.materialize(sample)
-        for j, x in enumerate(xs):
-            assert np.array_equal(fm.features[j], cls.evaluate(x))
+        cls = LatticeCellClass(1, 3)
+        edges = near_edge_doubles(1)
+        xs = np.vstack([rng.choice(edges, size=(300, 3)), rng.uniform(-2, 2, size=(100, 3))])
+        fm = cls.materialize(Sample(xs, rng.choice([-1.0, 1.0], size=len(xs))))
+        assert fm.features.tobytes() == one_hot_of_oracle(cls, xs).tobytes()
 
 
 class TestLattice:
@@ -87,56 +120,60 @@ class TestLattice:
         for cls in (LatticeCellClass(1, 1), LatticeCellClass(2, 1), LatticeCellClass(2, 2)):
             i = cls.resolution
             inside = rng.uniform(-i, i - 1e-9, size=(50, cls.dim))
-            for x in inside:
-                row = cls.evaluate(x)
-                assert row.sum() == 1.0 and np.all((row == 0) | (row == 1))
+            rows = cls.materialize(Sample(inside, np.ones(50))).features
+            assert np.all(rows.sum(axis=1) == 1.0) and np.all((rows == 0) | (rows == 1))
             outside = rng.uniform(i + 0.1, i + 3, size=(10, cls.dim))
-            for x in outside:
-                assert np.all(cls.evaluate(x) == 0.0)
+            assert np.all(cls.materialize(Sample(outside, np.ones(10))).features == 0.0)
 
     def test_half_open_boundaries(self):
         cls = LatticeCellClass(1, 1)
-        assert cls.cell_index([1.0]) is None  # [-1, 1) excludes the right edge
-        assert cls.cell_index([-1.0]) == 0
-        assert cls.cell_index([0.0]) == 1
+        # [-1, 1) excludes the right edge
+        assert cls.cells([[1.0], [-1.0], [0.0]]).tolist() == [-1, 0, 1]
 
-    @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 4, 5, 7])
     def test_cells_agree_with_cell_index_1d(self, resolution):
+        # every double within 3 ulps of an edge, then the far outside
         cls = LatticeCellClass(resolution, 1)
         i = resolution
-        edges = -i + np.arange(cls.n + 1) / i
-        xs = np.concatenate([edges, [np.nextafter(i, 0), i, i + 0.5, -i - 0.5, 1e9, -1e9]])
+        xs = np.concatenate([
+            near_edge_doubles(i), [i + 0.5, -i - 0.5, 1e9, -1e9, np.inf, -np.inf],
+        ])
         cells = cls.cells(xs[:, None])
         assert cells.dtype.kind == "i"
-        expected = [cls.cell_index([x]) for x in xs]
-        assert cells.tolist() == [-1 if k is None else k for k in expected]
+        assert cells.tolist() == [exact_cell_oracle([x], i) for x in xs]
         if i in (1, 2, 4):  # edges are exact doubles, so each opens its own cell
-            assert cells[: cls.n].tolist() == list(range(cls.n))
+            edges = -i + np.arange(cls.n + 1) / i
+            assert cls.cells(edges[:-1, None]).tolist() == list(range(cls.n))
 
     def test_cells_agree_with_cell_index_2d(self):
         rng = np.random.default_rng(5)
-        cls = LatticeCellClass(2, 2)
-        grid = -2 + np.arange(cls.cells_per_axis + 1) / 2
-        xs = np.vstack([
-            np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2),
-            rng.uniform(-3, 3, size=(200, 2)),
-            [[np.nextafter(2, 0), -2.0], [2.0, 0.0], [0.0, -2.5]],
-        ])
-        expected = [cls.cell_index(x) for x in xs]
-        assert cls.cells(xs).tolist() == [-1 if k is None else k for k in expected]
+        for resolution in (2, 3):
+            cls = LatticeCellClass(resolution, 2)
+            edges = near_edge_doubles(resolution)
+            xs = np.vstack([
+                np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2),
+                rng.uniform(-4, 4, size=(200, 2)),
+                [[np.inf, 0.0], [0.0, -np.inf]],
+            ])
+            assert cls.cells(xs).tolist() == [exact_cell_oracle(x, resolution) for x in xs]
+
+    def test_cells_reject_nan(self):
+        cls = LatticeCellClass(1, 2)
+        with pytest.raises(ValueError, match="NaN"):
+            cls.cells([[0.0, 0.5], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            cls.materialize(Sample(np.array([[0.5, np.nan]]), np.ones(1)))
 
     @pytest.mark.parametrize("resolution, dim", [(1, 1), (3, 1), (2, 2)])
     def test_materialize_is_one_hot_of_cell_index(self, resolution, dim):
         rng = np.random.default_rng(6)
         cls = LatticeCellClass(resolution, dim)
-        xs = rng.uniform(-resolution - 1, resolution + 1, size=(300, dim))
-        one_hot = np.zeros((300, cls.n))
-        for j, x in enumerate(xs):
-            k = cls.cell_index(x)
-            if k is not None:
-                one_hot[j, k] = 1.0
-        fm = cls.materialize(Sample(xs, rng.choice([-1.0, 1.0], size=300)))
-        assert fm.features.tobytes() == one_hot.tobytes()
+        xs = np.vstack([
+            rng.uniform(-resolution - 1, resolution + 1, size=(300, dim)),
+            rng.choice(near_edge_doubles(resolution), size=(300, dim)),
+        ])
+        fm = cls.materialize(Sample(xs, rng.choice([-1.0, 1.0], size=len(xs))))
+        assert fm.features.tobytes() == one_hot_of_oracle(cls, xs).tobytes()
 
     @pytest.mark.parametrize("resolution", [1, 2, 3, 4])
     def test_largest_double_below_the_top_edge_is_in_the_last_cell(self, resolution):
@@ -145,8 +182,7 @@ class TestLattice:
         top = np.nextafter(float(i), 0.0)
         line = LatticeCellClass(i, 1)
         last = line.cells_per_axis - 1
-        assert line.cell_index([top]) == last
-        assert line.cell_index([float(i)]) is None
+        assert line.cells([[top], [float(i)]]).tolist() == [last, -1]
         plane = LatticeCellClass(i, 2)
         xs = np.array([[top, top], [top, -i], [-i, top], [top, float(i)]])
         assert plane.cells(xs).tolist() == [plane.n - 1, last * plane.cells_per_axis, last, -1]
@@ -163,10 +199,8 @@ class TestLattice:
         cls = LatticeCellClass(2, 1)
         rng = np.random.default_rng(3)
         target = rng.normal(size=cls.n)
-        xs = rng.uniform(-2, 2 - 1e-9, size=100)
-        for x in xs:
-            k = cls.cell_index([x])
-            assert cls.apply(target, [x]) == pytest.approx(target[k], abs=1e-12)
+        xs = rng.uniform(-2, 2 - 1e-9, size=(100, 1))
+        assert np.array_equal(h_lam(cls, target, xs), target[cls.cells(xs)])
 
 
 def test_range_invariant_fuzz():
@@ -175,20 +209,18 @@ def test_range_invariant_fuzz():
         ProjectionClass(3),
         LatticeCellClass(1, 2),
         LatticeCellClass(3, 1),
-        ExplicitClass(4),
+        ExplicitClass(rng.uniform(-1, 1, size=(20, 4))),
     ]
     checked = 0
     while checked < 10**4:
         cls = classes[rng.integers(len(classes))]
         if isinstance(cls, LatticeCellClass):
-            x = rng.uniform(-5, 5, size=cls.dim)
-        elif isinstance(cls, ProjectionClass):
-            x = rng.uniform(-1, 1, size=cls.dim)
+            x = rng.uniform(-5, 5, size=(20, cls.dim))
         else:
-            x = rng.uniform(-1, 1, size=cls.n)
-        vals = cls.evaluate(x)
+            x = rng.uniform(-1, 1, size=(20, cls.n))
+        vals = cls.materialize(Sample(x, np.ones(20))).features
         assert np.all(np.abs(vals) <= 1.0)
-        checked += len(vals)
+        checked += vals.size
 
 
 class TestFeatureMatrix:
@@ -205,6 +237,14 @@ class TestFeatureMatrix:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             FeatureMatrix(np.array([[0.5]]), np.array([1.0]), np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        x, y, w = np.array([[0.5], [0.5]]), np.array([1.0, -1.0]), np.array([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            FeatureMatrix(x, y, w)
+        with pytest.raises(ValueError, match="finite"):
+            Sample(x, y, w)
 
     def test_shapes(self):
         fm = FeatureMatrix(np.zeros((3, 2)), np.array([1.0, -1.0, 1.0]))

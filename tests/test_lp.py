@@ -7,7 +7,6 @@ import pytest
 from conftest import assert_same_solution, box_vertices, linprog_solve, planted_problem
 
 from hardcoreboost import FeatureMatrix
-from hardcoreboost.hardcore import _correlation_matrix
 
 from hardcoreboost.lp import (
     STATUS_INFEASIBLE,
@@ -285,7 +284,7 @@ def test_objective_argument_is_checked():
 def test_per_point_solutions_do_not_depend_on_call_order():
     rng = np.random.default_rng(3)
     x, y, _ = planted_problem(160, 8, 0.5, rng)
-    a = _correlation_matrix(FeatureMatrix(x, y))
+    a = FeatureMatrix(x, y).correlations
     m = a.shape[1]
 
     def program():

@@ -22,13 +22,18 @@ from hardcoreboost import (
 )
 from hardcoreboost.experiments import LatticeNoiseWorld, build_staggered, sample_world
 from hardcoreboost.hypotheses import LatticeCellClass
-from hardcoreboost.losses import Loss, UnsupportedLossError
+from hardcoreboost.losses import Loss, UnsupportedLossError, parse_loss
 from hardcoreboost.optimize import STEP_CAP, _line_search
 from hardcoreboost.risk import Sample
 
 
 def duplicated_point_fm():
     return FeatureMatrix(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+
+
+def weighted_pair_fm():
+    """The duplicated point with masses 0.9 and 0.1; both points are the core."""
+    return FeatureMatrix(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), np.array([0.9, 0.1]))
 
 
 def planted_problem(rng, m, n, core_frac):
@@ -525,6 +530,59 @@ class TestSuboptimalityCertificate:
             lam = rng.normal(size=fm.n)
             for loss in (Loss("exp"), Loss("logistic"), Loss("hinge")):
                 assert suboptimality_certificate(fm, loss, lam, cert) >= -1e-7
+
+
+class TestWeightedDuality:
+    """Weak duality under point masses w: the dual prices -sum_j w_j phi*(q_j)."""
+
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "cone:1,1", "hinge"])
+    def test_weighted_pair_gap_vanishes_at_the_optimum(self, spec):
+        fm = weighted_pair_fm()
+        loss = parse_loss(spec)
+        cert = compute_hardcore(fm)
+        if loss.kind == "hinge":
+            lam = np.array([1.0])  # risk 0.1 * 2 = 0.2, the minimum
+        else:
+            lam = coordinate_descent(fm, loss, OptimizerConfig(max_iters=50)).lam
+        gap = suboptimality_certificate(fm, loss, lam, cert)
+        assert -1e-12 <= gap <= 1e-9
+
+    def test_weighted_pair_hinge_gap_at_zero(self):
+        fm = weighted_pair_fm()
+        gap = suboptimality_certificate(fm, Loss("hinge"), np.zeros(1), compute_hardcore(fm))
+        assert gap == pytest.approx(0.8, abs=1e-9)
+
+    def test_weighted_pair_dual_bound(self):
+        fm = weighted_pair_fm()
+        # q = phi'(z) at the exp optimum lam = ln 3; w q = (0.3, 0.3) decorrelates
+        bound = dual_lower_bound(fm, Loss("exp"), np.array([1.0 / 3.0, 3.0]))
+        assert bound == pytest.approx(0.6, abs=1e-12)
+        with pytest.raises(ValueError, match="decorrelating"):
+            dual_lower_bound(fm, Loss("exp"), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            dual_lower_bound(fm, Loss("exp"), np.array([np.nan, 1.0]))
+
+    def test_random_weighted_sign_problems(self):
+        rng = np.random.default_rng(11)
+        losses = [parse_loss(spec) for spec in ("exp", "logistic", "cone:1,1", "hinge")]
+        for _ in range(20):
+            base = random_sign_problem(rng)
+            w = rng.dirichlet(np.ones(base.m))
+            zero = rng.uniform(size=base.m) < 0.2
+            zero[rng.integers(base.m)] = False
+            w[zero] = 0.0
+            fm = FeatureMatrix(base.features, base.labels, w / w.sum())
+            cert = compute_hardcore(fm)
+            live = fm.weights > 0
+            q = np.zeros(fm.m)
+            q[live] = cert.p[live] / fm.weights[live]
+            lam = rng.normal(size=fm.n)
+            for loss in losses:
+                primal = surrogate_risk(fm, lam, loss)
+                assert suboptimality_certificate(fm, loss, lam, cert) >= -1e-9
+                if q.max() > 0:
+                    scale = rng.uniform(0.1, 1.0) / q.max()
+                    assert dual_lower_bound(fm, loss, scale * q) <= primal + 1e-9
 
 
 def test_optimize_dispatch():

@@ -161,7 +161,7 @@ class TestBayes:
             np.array([0.4, 0.1, 0.2, 0.3]),
         )
         best = bayes_surrogate_risk(s, Loss("logistic"))
-        fm = ExplicitClass(2, table=np.array([[1.0, 0], [1, 0], [0, 1], [0, 1]])).materialize(s)
+        fm = ExplicitClass(np.array([[1.0, 0], [1, 0], [0, 1], [0, 1]])).materialize(s)
         for _ in range(20):
             lam = rng.normal(scale=3, size=2)
             assert best <= surrogate_risk(fm, lam, Loss("logistic")) + 1e-9
@@ -203,7 +203,7 @@ def test_calibration_inequality_finite_distributions():
                     weights.append(w)
                     feat_rows.append(table[i])
             s = Sample(np.array(rows), np.array(labels), np.array(weights))
-            fm = ExplicitClass(table.shape[1], table=np.array(feat_rows)).materialize(s)
+            fm = ExplicitClass(np.array(feat_rows)).materialize(s)
             lam = rng.normal(scale=2, size=fm.n)
             excess_l = classification_risk(fm, lam) - bayes_risk_discrete(s)
             excess_phi = surrogate_risk(fm, lam, loss) - bayes_surrogate_risk(s, loss)
