@@ -22,7 +22,6 @@ from .bounds import (
 from .experiments import (
     ImpossibilityReport,
     LatticeNoiseWorld,
-    StaggeredWorld,
     SweepConfig,
     SweepStage,
     build_staggered,
@@ -70,6 +69,7 @@ from .risk import (
     load_sample_csv,
     margins,
     surrogate_risk,
+    surrogate_risk_saturated,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

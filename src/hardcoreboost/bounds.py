@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hardcore import bounded_representation
 from .losses import Loss, psi_inverse_bound
 
 
@@ -27,11 +28,16 @@ class BoundInputs:
     b: float = 1.0  # representation-norm bound
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
+        if not (self.m >= 1 and self.n >= 1):
+            raise ValueError("m and n must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
         if not 0.0 <= self.mu_core <= 1.0:
             raise ValueError("core mass must lie in [0, 1]")
-        if self.c <= 0 or self.b <= 0 or self.phi0 <= 0:
+        if not (self.c > 0 and self.b > 0 and self.phi0 > 0):
             raise ValueError("c, b, and phi0 must be positive")
 
 
@@ -124,7 +130,7 @@ def core_classification_bound(
     must be supplied by the caller.  Hinge is accepted through its identity
     psi-inverse even though it is not differentiable at 0.
     """
-    if approx_error < 0:
+    if not approx_error >= 0:  # NaN included
         raise ValueError("approx_error must be nonnegative")
     inner = core_surrogate_bound(c, n, delta_prime, epsilon, m_core)
     return BoundValue(psi_inverse_bound(loss, inner.value + approx_error), inner.valid)
@@ -132,7 +138,7 @@ def core_classification_bound(
 
 def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) -> BoundReport:
     """Composed classification-risk bound for the full problem, delta' = delta / 8."""
-    if approx_error < 0:
+    if not approx_error >= 0:  # NaN included
         raise ValueError("approx_error must be nonnegative")
     dp = inputs.delta / 8.0
     mu_c = inputs.mu_core
@@ -189,8 +195,6 @@ def constants_from_certificate(cert, fm, loss: Loss, lam) -> tuple[float, float]
     b is the l1 norm of the minimum-norm representation of lam on the core;
     c comes from the Rademacher constant formula at b.
     """
-    from .hardcore import bounded_representation
-
     rep = bounded_representation(fm, cert.core, np.asarray(lam, dtype=float))
     b = max(float(np.abs(rep).sum()), 1e-12)
     lip, phib = rademacher_constant(loss, b)

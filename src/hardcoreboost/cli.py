@@ -22,10 +22,6 @@ from .losses import parse_loss
 from .risk import load_sample_csv
 
 
-class DomainError(RuntimeError):
-    """A well-formed request that cannot be satisfied (bad data, infeasible)."""
-
-
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hcb-", suffix=".tmp")
@@ -161,7 +157,7 @@ def cmd_impossibility(args) -> dict:
         "max_margin_lambda": rep.max_margin.tolist(),
         "margin": rep.margin,
         "classification_risk": rep.classification_risk,
-        "misclassified_mass": rep.misclassified_mass,
+        "misclassified_mass": rep.classification_risk,
         "rows": [
             {"scale": r.scale, "risk_maxmargin": r.risk_maxmargin,
              "risk_separator": r.risk_separator, "saturated": r.saturated}

@@ -12,56 +12,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hardcore import _max_margin
-from .hypotheses import LatticeCellClass
+from .hypotheses import LatticeCellClass, ProjectionClass
 from .losses import Loss, _min_conditional_risk
 from .optimize import OptimizerConfig, coordinate_descent
-from .risk import Sample
+from .risk import Sample, classification_risk, surrogate_risk_saturated
 
 SWEEP_MAX_ITERS = 5000  # coordinate-descent budget per sweep replication
 
 
-@dataclass(frozen=True)
-class StaggeredWorld:
-    """Countable staggered construction truncated at a finite depth.
+# The perfect separator of the staggered world: zero margin only in the limit.
+STAGGERED_SEPARATOR = np.array([-1.0, 1.0])
+STAGGERED_SEPARATOR.flags.writeable = False
+
+
+def build_staggered(depth: int) -> Sample:
+    """Countable staggered construction truncated at a finite depth, as a weighted sample.
 
     Pair i consists of the positive point (1 - 0.5 * 4^(2-i), 1) and the
     negative point (1, 1 - 0.3 * 4^(2-i)), each of mass 2^(-i-1); the mass
-    the truncation leaves over is split evenly onto the deepest pair.
+    the truncation leaves over is split evenly onto the deepest pair.  Rows
+    are the depth positives, then the depth negatives.
     """
-
-    depth: int
-    points: np.ndarray  # (2*depth, 2)
-    labels: np.ndarray
-    masses: np.ndarray
-
-    @property
-    def separator(self) -> np.ndarray:
-        """The perfect zero-margin-in-the-limit separator (-1, +1)."""
-        return np.array([-1.0, 1.0])
-
-    def as_sample(self) -> Sample:
-        return Sample(self.points, self.labels, self.masses)
-
-    def surrogate_risk(self, lam, loss: Loss) -> float:
-        """Exact R_phi(H lam) by summation over the support."""
-        risk, _ = self.surrogate_risk_saturated(lam, loss)
-        return risk
-
-    def surrogate_risk_saturated(self, lam, loss: Loss) -> tuple[float, bool]:
-        """Exact R_phi(H lam) plus a flag marking whether the exp clamp engaged."""
-        m = self.labels * (self.points @ np.asarray(lam, dtype=float))
-        values, saturated = loss.value_saturated(-m)
-        return float(np.sum(self.masses * values)), saturated
-
-    def misclassified_mass(self, lam) -> float:
-        """World mass misclassified by sign(H lam)."""
-        pred = np.where(self.points @ np.asarray(lam, dtype=float) >= 0.0, 1.0, -1.0)
-        return float(np.sum(self.masses[pred != self.labels]))
-
-    classification_risk = misclassified_mass  # R_L(lam)
-
-
-def build_staggered(depth: int) -> StaggeredWorld:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     idx = np.arange(1, depth + 1)
@@ -72,17 +43,16 @@ def build_staggered(depth: int) -> StaggeredWorld:
     mass[-1] += 2.0 ** (-depth) / 2.0  # renormalize onto the deepest pair
     points = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(depth), -np.ones(depth)])
-    masses = np.concatenate([mass, mass])
-    return StaggeredWorld(depth, points, labels, masses)
+    return Sample(points, labels, np.concatenate([mass, mass]))
 
 
-def sample_world(world: StaggeredWorld, m: int, seed: int) -> Sample:
-    """m i.i.d. draws from the world's discrete law."""
+def sample_world(world: Sample, m: int, seed: int) -> Sample:
+    """m i.i.d. draws from the weighted sample's discrete law."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(world.masses), size=m, p=world.masses)
-    return Sample(world.points[idx], world.labels[idx])
+    idx = rng.choice(world.m, size=m, p=world.weights)
+    return Sample(world.x[idx], world.y[idx])
 
 
 def max_margin_2d(sample: Sample) -> tuple[np.ndarray, float]:
@@ -117,8 +87,7 @@ class ImpossibilityReport:
     null_finding: bool  # sampled lam_hat classified the whole world correctly
     max_margin: np.ndarray
     margin: float
-    classification_risk: float  # true R_L(lam_hat)
-    misclassified_mass: float
+    classification_risk: float  # true R_L(lam_hat), the misclassified world mass
     rows: tuple[ImpossibilityRow, ...]
 
 
@@ -140,6 +109,7 @@ def impossibility_report(
     if depth < 3:
         raise ValueError("depth must be >= 3 so the sample can miss tail points")
     world = build_staggered(depth)
+    fm = ProjectionClass(2).materialize(world)
     lam_hat = None
     retries = 0
     for attempt in range(max_retries + 1):
@@ -149,17 +119,17 @@ def impossibility_report(
             continue
         lam_hat, margin = max_margin_2d(sample)
         used_seed = seed + attempt
-        if world.misclassified_mass(lam_hat) > 0.0:
+        wrong_mass = classification_risk(fm, lam_hat)
+        if wrong_mass > 0.0:
             break
         retries += 1
     if lam_hat is None:
         raise ValueError(f"none of {max_retries + 1} draws of m={m} points had both labels")
     null_finding = retries > max_retries
-    wrong_mass = world.misclassified_mass(lam_hat)
     rows = []
     for c in scales:
-        risk_hat, sat_hat = world.surrogate_risk_saturated(float(c) * lam_hat, loss)
-        risk_sep, sat_sep = world.surrogate_risk_saturated(float(c) * world.separator, loss)
+        risk_hat, sat_hat = surrogate_risk_saturated(fm, float(c) * lam_hat, loss)
+        risk_sep, sat_sep = surrogate_risk_saturated(fm, float(c) * STAGGERED_SEPARATOR, loss)
         rows.append(ImpossibilityRow(float(c), risk_hat, risk_sep, sat_hat or sat_sep))
     return ImpossibilityReport(
         depth=depth,
@@ -171,7 +141,6 @@ def impossibility_report(
         max_margin=lam_hat,
         margin=float(margin),
         classification_risk=wrong_mass,
-        misclassified_mass=wrong_mass,
         rows=tuple(rows),
     )
 

@@ -52,17 +52,17 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
     zero_mass = fm.weights == 0.0
     upper = np.where(zero_mass, 0.0, 1.0)
     base = LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=upper)
-    solutions = []
+    optima = np.empty(m)
+    p = np.zeros(m)
     for j in range(m):
         c = np.zeros(m)
         c[j] = 1.0
         sol = solve(base, c)
         if sol.status != STATUS_OPTIMAL:
             raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
-        solutions.append(sol)
-    optima = np.array([s.value for s in solutions])
+        optima[j] = sol.value
+        p += sol.x  # summed in point order, one m-vector at a time
     core_mask = optima > tol
-    p = np.sum([s.x for s in solutions], axis=0)
     if p.max(initial=0.0) > 0:
         p = p / p.max()
     p[~core_mask] = 0.0

@@ -57,13 +57,21 @@ class Loss:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "cone":
-            if self.c1 < 0 or self.c2 < 0 or self.c1 + self.c2 <= 0:
-                raise UnsupportedLossError("cone requires c1, c2 >= 0 and c1 + c2 > 0")
+        if self.kind == "cone" and not (
+            0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf and self.c1 + self.c2 > 0
+        ):
+            raise UnsupportedLossError("cone requires finite c1, c2 >= 0 and c1 + c2 > 0")
 
     @property
     def value_at_origin(self) -> float:
         return float(self.value(0.0))
+
+    @property
+    def conjugate_domain_end(self) -> float:
+        """sup phi' (phi*'s domain end): 1 for logistic/hinge, c1 for exp-free cone, else inf."""
+        if self.kind in ("logistic", "hinge"):
+            return 1.0
+        return float(self.c1) if self.kind == "cone" and self.c2 == 0 else math.inf
 
     def value(self, z):
         """phi(z); accepts scalars or arrays, exp terms clamped at EXP_CLAMP."""

@@ -287,6 +287,9 @@ def suboptimality_certificate(
     q = s p / w (0 off the core) is dual feasible.  Its dual value
     -sum_j w_j phi*(q_j) is maximized over s >= 0 by golden section; the
     result is primal minus that bound and is nonnegative up to tolerance.
+    If phi*'s domain ends at a finite E, s ranges over [0, E / max_j p_j / w_j]
+    and that end, where a dual linear in s (hinge) peaks, is priced too;
+    otherwise the bracket doubles from max_j q_j = 1 while the dual grows.
     """
     primal = surrogate_risk(fm, lam, loss)
     w = fm.weights
@@ -298,10 +301,18 @@ def suboptimality_certificate(
     def dual_of(s: float) -> float:
         return _dual_value(loss, w, s * unit)
 
-    s_one = s_hi = 1.0 / float(unit.max())  # the scale at which max_j q_j = 1
-    if loss.kind not in ("logistic", "hinge"):  # whose conjugate domain ends at 1
-        while dual_of(2.0 * s_hi) > dual_of(s_hi) and s_hi < 1e12 * s_one:
-            s_hi *= 2.0
-        s_hi *= 2.0
+    end = loss.conjugate_domain_end
+    if math.isfinite(end):
+        s_hi = end / float(unit.max())
+        _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
+        return primal - max(dual, dual_of(s_hi))
+    s_one = s_hi = 1.0 / float(unit.max())
+    d_hi = dual_of(s_hi)
+    while s_hi < 1e12 * s_one:
+        d_next = dual_of(2.0 * s_hi)
+        if not d_next > d_hi:
+            break
+        s_hi, d_hi = 2.0 * s_hi, d_next
+    s_hi *= 2.0
     _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
     return primal - dual

@@ -65,11 +65,21 @@ def margins(fm: FeatureMatrix, lam) -> np.ndarray:
 
 def surrogate_risk(fm: FeatureMatrix, lam, loss: Loss, region=None) -> float:
     """Mass-weighted sum of phi(-y (H lam)(x)) over the region (full if None)."""
+    risk, _ = surrogate_risk_saturated(fm, lam, loss, region)
+    return risk
+
+
+def surrogate_risk_saturated(
+    fm: FeatureMatrix, lam, loss: Loss, region=None
+) -> tuple[float, bool]:
+    """surrogate_risk plus a flag marking whether the exp clamp engaged.
+
+    A clamped risk understates the true one, so it is then a lower bound.
+    """
     z = -margins(fm, lam)
-    if region is None:
-        return float(np.sum(fm.weights * loss.value(z)))
     mask = region_to_mask(region, fm.m)
-    return float(np.sum(fm.weights[mask] * loss.value(z[mask])))
+    values, saturated = loss.value_saturated(z[mask])
+    return float(np.sum(fm.weights[mask] * values)), saturated
 
 
 def classification_risk(fm: FeatureMatrix, lam, region=None) -> float:

@@ -12,6 +12,7 @@ import pytest
 from conftest import decorrelation_support_oracle, grid_min_risk, random_sign_problem
 
 import hardcoreboost as hb
+from hardcoreboost.experiments import STAGGERED_SEPARATOR
 from hardcoreboost.losses import Loss
 
 
@@ -132,17 +133,19 @@ def test_acceptance_4_optimizer_oracle_contract(report):
 def test_acceptance_5_impossibility_reproduction(report):
     start = time.time()
     loss = Loss("exp")
-    world = hb.build_staggered(10)
+    depth = 10
+    world = hb.build_staggered(depth)
+    fm = hb.ProjectionClass(2).materialize(world)
     # The claim is a limit in the scale, and the world's smallest separator
     # margin is 0.3 * 4^(2 - depth); scaling by 4^(depth + 1) puts it at 19.2
     # at every depth, where the separator's risk has decayed, whatever the
     # sample.  A fixed scale such as 32 is too small at depth 10: the
     # separator's risk there is still 0.09, and the misclassified tail point
     # (mass 2^-depth) is too light to outweigh the rest of the risk.
-    scale = 4.0 ** (world.depth + 1)
+    scale = 4.0 ** (depth + 1)
     # All separator exponents are negative, so its risk is never clamped; a
     # clamped value would understate it and could not witness the decay.
-    sep_risk, sep_saturated = world.surrogate_risk_saturated(scale * world.separator, loss)
+    sep_risk, sep_saturated = hb.surrogate_risk_saturated(fm, scale * STAGGERED_SEPARATOR, loss)
     sep_ok = sep_risk < 1e-3 and not sep_saturated
     events = 0
     ratio_failures = 0
@@ -152,14 +155,14 @@ def test_acceptance_5_impossibility_reproduction(report):
         if len(set(sample.y)) < 2:
             continue
         lam_hat, _ = hb.max_margin_2d(sample)
-        if world.misclassified_mass(lam_hat) > 0.0:
+        if hb.classification_risk(fm, lam_hat) > 0.0:
             events += 1
-            r1, _ = world.surrogate_risk_saturated(lam_hat, loss)
+            r1, _ = hb.surrogate_risk_saturated(fm, lam_hat, loss)
             # Exponents past EXP_CLAMP are capped, which only lowers each
             # term: a clamped scaled risk is a lower bound on the true one,
             # so exceeding ten times the unscaled risk still witnesses the
             # divergence.
-            r_scaled, clamped = world.surrogate_risk_saturated(scale * lam_hat, loss)
+            r_scaled, clamped = hb.surrogate_risk_saturated(fm, scale * lam_hat, loss)
             saturated += clamped
             if not r_scaled > 10.0 * r1:
                 ratio_failures += 1

@@ -99,6 +99,11 @@ class TestCoreClassificationBound:
     def test_negative_approx_error_rejected(self):
         with pytest.raises(ValueError):
             core_classification_bound(Loss("exp"), 1.0, 2, 0.1, 0.0, 100.0, -0.1)
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="approx_error"):
+                core_classification_bound(Loss("exp"), 1.0, 2, 0.1, 0.0, 100.0, bad)
+            with pytest.raises(ValueError, match="approx_error"):
+                full_risk_bound(BoundInputs(m=10, n=2, delta=0.1), Loss("exp"), bad)
 
 
 class TestFullRiskBound:
@@ -204,6 +209,21 @@ class TestFullRiskBound:
             BoundInputs(m=10, n=2, delta=1.5)
         with pytest.raises(ValueError):
             BoundInputs(m=10, n=2, delta=0.1, mu_core=2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"m": 0}, "m and n"), ({"n": 0}, "m and n"),
+         ({"epsilon": math.nan}, "epsilon"), ({"epsilon": math.inf}, "epsilon"),
+         ({"epsilon": -1e-9}, "epsilon"), ({"c": math.nan}, "positive"),
+         ({"b": math.nan}, "positive"), ({"phi0": math.nan}, "positive"),
+         ({"mu_core": math.nan}, "core mass"), ({"delta": math.nan}, "delta")],
+        ids=str,
+    )
+    def test_bad_inputs_are_rejected(self, kwargs, message):
+        # NaN must fail every check, or it reaches the bound's total; m = 0
+        # would divide by zero in full_risk_bound
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(**{"m": 10, "n": 2, "delta": 0.1, **kwargs})
 
 
 class TestRademacher:

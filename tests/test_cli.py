@@ -42,6 +42,14 @@ class TestExitCodes:
         code = run(["train", str(three_point), "--class", "proj:1", "--loss", "square"])
         assert code == 1
 
+    def test_nan_cone_weight_domain_error(self, capsys, three_point):
+        code = run(["train", str(three_point), "--class", "proj:1", "--loss", "cone:nan,1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "UnsupportedLossError" and "finite" in err["message"]
+
     @pytest.mark.parametrize("command", [["train"], ["hardcore", "--seed", "3"]])
     @pytest.mark.parametrize(
         "text, message",
@@ -199,6 +207,23 @@ class TestSweepCommand:
 
 
 class TestBoundsCommand:
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--m", "0", "--n", "8"], "m and n"), (["--m", "100", "--n", "0"], "m and n"),
+         (["--m", "100", "--n", "8", "--epsilon", "nan"], "epsilon"),
+         (["--m", "100", "--n", "8", "--c", "nan"], "positive"),
+         (["--m", "100", "--n", "8", "--mu-core", "0.5", "--approx-error", "nan"],
+          "approx_error")],
+        ids=["m0", "n0", "epsilon-nan", "c-nan", "approx-error-nan"],
+    )
+    def test_bad_inputs_domain_error(self, capsys, extra, message):
+        code = run(["bounds", *extra, "--delta", "0.1", "--loss", "exp", "--no-timestamp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and message in err["message"]
+
     def test_certificate_without_p_domain_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"core": [0]}))
@@ -227,5 +252,7 @@ class TestImpossibilityCommand:
             "--no-timestamp".split()
         )
         assert code == 0
-        rows = json.loads(capsys.readouterr().out)["rows"]
-        assert [r["saturated"] for r in rows] == [False, False, True]
+        report = json.loads(capsys.readouterr().out)
+        assert [r["saturated"] for r in report["rows"]] == [False, False, True]
+        # both keys carry the one misclassified world mass
+        assert report["misclassified_mass"] == report["classification_risk"] > 0

@@ -8,7 +8,6 @@ from conftest import box_vertices, golden_conditional_min, lattice_risk_oracle
 from hardcoreboost import (
     LatticeNoiseWorld,
     Sample,
-    StaggeredWorld,
     SweepConfig,
     SweepStage,
     build_staggered,
@@ -19,10 +18,11 @@ from hardcoreboost import (
     sample_world,
 )
 from hardcoreboost import experiments
-from hardcoreboost.experiments import _train_to_suboptimality
-from hardcoreboost.hypotheses import LatticeCellClass
+from hardcoreboost.experiments import STAGGERED_SEPARATOR, _train_to_suboptimality
+from hardcoreboost.hypotheses import LatticeCellClass, ProjectionClass
 from hardcoreboost.losses import Loss, parse_loss
 from hardcoreboost.lp import STATUS_OPTIMAL, LinearProgram, solve
+from hardcoreboost.risk import surrogate_risk
 
 
 def slack_max_margin(sample):
@@ -55,23 +55,23 @@ def slack_max_margin(sample):
 class TestBuildStaggered:
     def test_depth_one(self):
         w = build_staggered(1)
-        assert np.allclose(w.points, [[-1.0, 1.0], [1.0, -0.2]])
-        assert np.allclose(w.masses, [0.5, 0.5])
-        assert np.array_equal(w.labels, [1.0, -1.0])
+        assert np.allclose(w.x, [[-1.0, 1.0], [1.0, -0.2]])
+        assert np.allclose(w.weights, [0.5, 0.5])
+        assert np.array_equal(w.y, [1.0, -1.0])
 
     def test_depth_two_points(self):
         w = build_staggered(2)
-        assert np.allclose(w.points[1], [0.5, 1.0])
-        assert np.allclose(w.points[3], [1.0, 0.7])
+        assert np.allclose(w.x[1], [0.5, 1.0])
+        assert np.allclose(w.x[3], [1.0, 0.7])
 
     def test_mass_sums_to_one(self):
         for depth in (1, 3, 7, 12):
-            assert build_staggered(depth).masses.sum() == pytest.approx(1.0, abs=1e-15)
+            assert build_staggered(depth).weights.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_separator_margins(self):
         for depth in (2, 5, 10):
             w = build_staggered(depth)
-            margins = w.labels * (w.points @ w.separator)
+            margins = w.y * (w.x @ STAGGERED_SEPARATOR)
             assert np.all(margins > 0)
             # positives carry margin 0.5 * 4^(2-i), negatives 0.3 * 4^(2-i)
             idx = np.arange(1, depth + 1)
@@ -84,16 +84,34 @@ class TestBuildStaggered:
         # under 1e-6 at c = 2^40 / 4^depth (depths where the truncation
         # residual's tiny margins have decayed enough)
         for depth in range(3, 10):
-            w = build_staggered(depth)
+            fm = ProjectionClass(2).materialize(build_staggered(depth))
             c = 2.0**40 / 4.0**depth
-            assert w.surrogate_risk(c * w.separator, Loss("exp")) <= 1e-6
+            assert surrogate_risk(fm, c * STAGGERED_SEPARATOR, Loss("exp")) <= 1e-6
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             build_staggered(0)
 
+    def test_world_is_a_weighted_sample(self):
+        w = build_staggered(5)
+        assert isinstance(w, Sample) and w.m == 10
+        assert np.array_equal(w.y, np.repeat([1.0, -1.0], 5))
+        assert np.array_equal(w.weights[:5], w.weights[5:])
+
+    def test_separator_is_read_only(self):
+        assert np.array_equal(STAGGERED_SEPARATOR, [-1.0, 1.0])
+        with pytest.raises(ValueError):
+            STAGGERED_SEPARATOR[0] = 0.0
+
 
 class TestSampleWorld:
+    def test_draws_rows_by_weight(self):
+        w = build_staggered(7)
+        s = sample_world(w, 300, seed=5)
+        idx = np.random.default_rng(5).choice(w.m, size=300, p=w.weights)
+        assert np.array_equal(s.x, w.x[idx]) and np.array_equal(s.y, w.y[idx])
+        assert np.all(s.weights == 1.0 / 300)
+
     def test_deterministic(self):
         w = build_staggered(4)
         a = sample_world(w, 50, seed=9)
@@ -104,12 +122,12 @@ class TestSampleWorld:
         w = build_staggered(1)
         s = sample_world(w, 200, seed=0)
         for row in s.x:
-            assert any(np.allclose(row, p) for p in w.points)
+            assert any(np.allclose(row, p) for p in w.x)
 
     def test_empirical_masses_concentrate(self):
         w = build_staggered(8)
         s = sample_world(w, 10**4, seed=3)
-        for point, mass in zip(w.points, w.masses):
+        for point, mass in zip(w.x, w.weights):
             emp = np.mean(np.all(s.x == point, axis=1))
             assert abs(emp - mass) < 0.02
 
@@ -128,7 +146,7 @@ class TestMaxMargin:
 
     def test_depth_one_pair_matches_vertex_oracle(self):
         w = build_staggered(1)
-        s = Sample(w.points, w.labels)
+        s = Sample(w.x, w.y)
         lam, t = max_margin_2d(s)
         # brute force: maximize min margin over vertices of the l1 ball slice
         a = s.x * s.y[:, None]
@@ -196,18 +214,37 @@ class TestMaxMargin:
 
 class TestImpossibilityReport:
     def test_separator_scaling_decreases(self):
-        w = build_staggered(4)
-        r1 = w.surrogate_risk(w.separator, Loss("exp"))
-        r10 = w.surrogate_risk(10 * w.separator, Loss("exp"))
+        fm = ProjectionClass(2).materialize(build_staggered(4))
+        r1 = surrogate_risk(fm, STAGGERED_SEPARATOR, Loss("exp"))
+        r10 = surrogate_risk(fm, 10 * STAGGERED_SEPARATOR, Loss("exp"))
         assert r10 < r1
 
     def test_report_structure(self):
         rep = impossibility_report(10, 20, [1, 32], Loss("exp"), seed=0)
         assert not rep.null_finding
-        assert rep.misclassified_mass > 0
         assert rep.classification_risk > 0
         assert len(rep.rows) == 2
         assert rep.rows[0].scale == 1.0
+
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "hinge", "cone:0.3,2.5"])
+    def test_rows_are_exact_world_sums(self, spec):
+        # each risk is the mass-weighted loss over the world's support, with
+        # the clamp flag of either evaluation
+        loss = parse_loss(spec)
+        world = build_staggered(8)
+        rep = impossibility_report(8, 20, [1, 64, 2**22], loss, seed=3)
+
+        def exact(lam):
+            values, flag = loss.value_saturated(-world.y * (world.x @ lam))
+            return float(np.sum(world.weights * values)), flag
+
+        for row in rep.rows:
+            r_hat, s_hat = exact(row.scale * rep.max_margin)
+            r_sep, s_sep = exact(row.scale * STAGGERED_SEPARATOR)
+            assert (row.risk_maxmargin, row.risk_separator) == (r_hat, r_sep)
+            assert row.saturated == (s_hat or s_sep)
+        wrong = np.where(world.x @ rep.max_margin >= 0.0, 1.0, -1.0) != world.y
+        assert rep.classification_risk == float(np.sum(world.weights[wrong])) > 0
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
@@ -225,7 +262,7 @@ class TestImpossibilityReport:
         rep = impossibility_report(3, 200, [1.0], Loss("exp"), seed=0)
         assert rep.null_finding and rep.retries == 21 and rep.seed == 20
         assert rep.max_margin == pytest.approx([-0.50657895, 0.49342105], abs=1e-8)
-        assert rep.misclassified_mass == 0.0
+        assert rep.classification_risk == 0.0
 
     def test_null_finding_keeps_the_last_two_label_fit(self):
         # seeds 13 and 15 draw one label only; seed 14's fit is the one reported

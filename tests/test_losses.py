@@ -344,3 +344,32 @@ class TestParsing:
     def test_cone_needs_positive_weight(self):
         with pytest.raises(UnsupportedLossError):
             Loss("cone", c1=0.0, c2=0.0)
+
+    @pytest.mark.parametrize(
+        "c1, c2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
+    )
+    def test_cone_weights_must_be_finite(self, c1, c2):
+        with pytest.raises(UnsupportedLossError, match="finite"):
+            Loss("cone", c1=c1, c2=c2)
+
+    @pytest.mark.parametrize("spec", ["cone:nan,1", "cone:1,nan", "cone:inf,1"])
+    def test_nonfinite_cone_spec_rejected(self, spec):
+        with pytest.raises(UnsupportedLossError, match="finite"):
+            parse_loss(spec)
+
+
+@pytest.mark.parametrize(
+    "loss, end",
+    [(Loss("exp"), math.inf), (Loss("logistic"), 1.0), (Loss("hinge"), 1.0),
+     (Loss("cone", c1=0.5, c2=0.0), 0.5), (Loss("cone", c1=0.0, c2=2.0), math.inf),
+     (Loss("cone", c1=1.0, c2=1.0), math.inf)],
+    ids=str,
+)
+def test_conjugate_domain_end(loss, end):
+    # the conjugate is finite up to the end and infinite past it
+    assert loss.conjugate_domain_end == end
+    if math.isfinite(end):
+        assert np.isfinite(loss.conjugate(end))
+        assert loss.conjugate(end * (1.0 + 1e-12)) == math.inf
+    else:
+        assert np.isfinite(loss.conjugate(1e300))

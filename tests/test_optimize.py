@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import full_row_coordinate_descent, grid_min_risk, random_sign_problem
+from conftest import planted_problem as bench_planted_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -546,6 +547,42 @@ class TestWeightedDuality:
             lam = coordinate_descent(fm, loss, OptimizerConfig(max_iters=50)).lam
         gap = suboptimality_certificate(fm, loss, lam, cert)
         assert -1e-12 <= gap <= 1e-9
+
+    def test_weighted_pair_hinge_gap_is_exact(self):
+        # the hinge dual is linear in the scale, so its maximum is at the end
+        # of the conjugate's domain, which the certificate prices exactly
+        fm = weighted_pair_fm()
+        gap = suboptimality_certificate(fm, Loss("hinge"), np.array([1.0]), compute_hardcore(fm))
+        assert gap == 0.0
+
+    @pytest.mark.parametrize("c1", [0.5, 2.0])
+    def test_cone_without_exp_scales_logistic(self, c1):
+        # phi = c1 * logistic: the conjugate's domain ends at c1, so a scale
+        # bracket past it prices -inf; primal and dual both scale by c1
+        x, y, _ = bench_planted_problem(48, 6, 0.5, np.random.default_rng(3))
+        fm = FeatureMatrix(x, y)
+        cert = compute_hardcore(fm)
+        cfg = OptimizerConfig(max_iters=300)
+        gaps = []
+        for loss in (Loss("logistic"), Loss("cone", c1=c1, c2=0.0)):
+            lam = coordinate_descent(fm, loss, cfg).lam
+            gaps.append(suboptimality_certificate(fm, loss, lam, cert))
+        assert math.isfinite(gaps[1])
+        assert gaps[1] == pytest.approx(c1 * gaps[0], abs=1e-9)
+
+    def test_each_doubled_scale_is_priced_once(self, monkeypatch):
+        real = optimize_module._dual_value
+        scales = []
+
+        def spy(loss, weights, q):
+            scales.append(float(q.max()))
+            return real(loss, weights, q)
+
+        monkeypatch.setattr(optimize_module, "_dual_value", spy)
+        fm = weighted_pair_fm()
+        suboptimality_certificate(fm, Loss("exp"), np.zeros(1), compute_hardcore(fm))
+        assert 1.0 in scales and 2.0 in scales  # the bracket doubled at least once
+        assert len(scales) == len(set(scales))
 
     def test_weighted_pair_hinge_gap_at_zero(self):
         fm = weighted_pair_fm()

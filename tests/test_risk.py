@@ -17,6 +17,7 @@ from hardcoreboost import (
     load_sample_csv,
     margins,
     surrogate_risk,
+    surrogate_risk_saturated,
 )
 from hardcoreboost.losses import Loss, parse_loss, psi_numeric
 from hardcoreboost.risk import _group_by_instance
@@ -82,6 +83,29 @@ class TestSurrogateRisk:
                 full = surrogate_risk(fm, lam, loss)
                 assert full == surrogate_risk(fm, lam, loss, region=np.ones(m, dtype=bool))
                 assert full == surrogate_risk(fm, lam, loss, region=np.arange(m))
+
+
+    def test_saturation_flag(self):
+        fm = FeatureMatrix(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        lam = np.array([800.0])  # the second point's exponent passes EXP_CLAMP
+        for loss in (Loss("exp"), Loss("cone", c1=1, c2=1)):
+            risk, saturated = surrogate_risk_saturated(fm, lam, loss)
+            assert saturated and risk == surrogate_risk(fm, lam, loss)
+            # the clamped point is outside the region, so nothing saturates
+            assert not surrogate_risk_saturated(fm, lam, loss, region=np.array([0]))[1]
+        for loss in (Loss("logistic"), Loss("hinge")):
+            assert not surrogate_risk_saturated(fm, lam, loss)[1]
+
+    def test_saturated_matches_value_saturated(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            fm = random_fm(rng, m=9)
+            lam = rng.normal(scale=400.0, size=fm.n)
+            for loss in (Loss("exp"), Loss("logistic"), Loss("hinge"), Loss("cone", 0.3, 2.5)):
+                values, flag = loss.value_saturated(-fm.labels * (fm.features @ lam))
+                assert surrogate_risk_saturated(fm, lam, loss) == (
+                    float(np.sum(fm.weights * values)), flag
+                )
 
 
 class TestClassificationRisk:
