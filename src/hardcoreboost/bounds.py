@@ -144,24 +144,21 @@ def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) 
     mu_c = inputs.mu_core
     mu_cc = 1.0 - mu_c
 
-    preconditions = {}
-    thresholds = []
+    split = True  # masses of 0 and 1 fix the counts; else each side keeps half
     if mu_c > 0 and mu_cc > 0:
-        thresholds.append(2.0 * math.log(1.0 / dp) / min(mu_c, mu_cc) ** 2)
-    if mu_c > 0:
-        thresholds.append(
-            2.0 * inputs.c**2 * (math.log(inputs.n) + math.log(1.0 / dp)) / mu_c
-        )
-    preconditions["m_large_enough"] = (
-        inputs.m >= max(thresholds) if thresholds else True
-    )
-    preconditions["epsilon_small"] = inputs.epsilon < inputs.phi0 / inputs.m
-
+        lower_core, lower_plus = sample_split_bounds(inputs.m, mu_c, dp)
+        split = lower_core >= inputs.m * mu_c / 2.0 and lower_plus >= inputs.m * mu_cc / 2.0
     psi_term = vc_term = 0.0
+    core_valid = True
     if mu_c > 0:
-        psi_term = core_classification_bound(
+        core = core_classification_bound(
             loss, inputs.c, inputs.n, dp, inputs.epsilon, inputs.m * mu_c / 2.0, approx_error
-        ).value
+        )
+        psi_term, core_valid = core.value, core.valid
+    preconditions = {
+        "m_large_enough": split and core_valid,
+        "epsilon_small": inputs.epsilon < inputs.phi0 / inputs.m,
+    }
     if mu_cc > 0:
         # vc_unbounded_bound(..., zero_error=True) without its m_plus >= 1 guard:
         # a complement of under two sample points still gets its (vacuous) term

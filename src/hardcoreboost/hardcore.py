@@ -17,8 +17,10 @@ from .hypotheses import FeatureMatrix
 from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
 from .risk import region_to_mask
 
-# One order of magnitude above the LP feasibility tolerance.
+# One order of magnitude above the LP feasibility tolerance: the core's LP
+# threshold and the bound on decorrelation and abstention residuals.
 CORE_TOL = 1e-7
+MARGIN_FLOOR = 1e-9  # margins above it are positive, within it zero
 
 
 class HardCoreInconsistencyError(RuntimeError):
@@ -37,7 +39,7 @@ class HardCoreCertificate:
         return region_to_mask(self.core, m)
 
 
-def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertificate:
+def compute_hardcore(fm: FeatureMatrix) -> HardCoreCertificate:
     """Compute and verify the hard core of the sampled problem.
 
     Per sample point j, the LP max p_j over {p in [0,1]^m : A p = 0} decides
@@ -62,7 +64,7 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
             raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
         optima[j] = sol.value
         p += sol.x  # summed in point order, one m-vector at a time
-    core_mask = optima > tol
+    core_mask = optima > CORE_TOL
     if p.max(initial=0.0) > 0:
         p = p / p.max()
     p[~core_mask] = 0.0
@@ -70,7 +72,7 @@ def compute_hardcore(fm: FeatureMatrix, tol: float = CORE_TOL) -> HardCoreCertif
     core = np.flatnonzero(core_mask)
     lam, t = separator_certificate(fm, core)
     cert = HardCoreCertificate(core, p, lam, t, optima)
-    _verify_certificate(fm, cert, tol)
+    _verify_certificate(fm, cert)
     return cert
 
 
@@ -121,30 +123,30 @@ def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
         return np.zeros(n), float("inf")
     a = fm.correlations
     lam, t = _max_margin(a[:, mask].T, a[:, comp].T)
-    if t <= 1e-9:
+    if t <= MARGIN_FLOOR:
         raise HardCoreInconsistencyError(
             f"separator margin {t:g} is not positive: core/complement mismatch"
         )
     return lam, t
 
 
-def _verify_certificate(fm: FeatureMatrix, cert: HardCoreCertificate, tol: float):
+def _verify_certificate(fm: FeatureMatrix, cert: HardCoreCertificate):
     a = fm.correlations
     mask = cert.core_mask(fm.m)
     if np.any(cert.p[~mask] != 0.0) or np.any(cert.p[mask] <= 0.0):
         raise HardCoreInconsistencyError("p is not positive exactly on the core")
     decorr = np.abs(a @ cert.p).max(initial=0.0)
-    if decorr > tol:
+    if decorr > CORE_TOL:
         raise HardCoreInconsistencyError(f"decorrelation violation {decorr:g}")
     marg = a.T @ cert.separator
-    if np.abs(marg[mask]).max(initial=0.0) > tol:
+    if np.abs(marg[mask]).max(initial=0.0) > CORE_TOL:
         raise HardCoreInconsistencyError("separator does not abstain on the core")
     live = ~mask & (fm.weights > 0)
     if np.any(live):
         floor = marg[live].min()
-        if not floor >= cert.margin - tol:
+        if not floor >= cert.margin - CORE_TOL:
             raise HardCoreInconsistencyError("separator margin floor not achieved")
-        if cert.margin <= 1e-9:
+        if cert.margin <= MARGIN_FLOOR:
             raise HardCoreInconsistencyError("separator margin not positive")
 
 
@@ -155,8 +157,7 @@ class DichotomyReport:
     seed: int
 
 
-def verify_dichotomy(fm: FeatureMatrix, core, trials: int, seed: int,
-                     tol: float = 1e-9) -> DichotomyReport:
+def verify_dichotomy(fm: FeatureMatrix, core, trials: int, seed: int) -> DichotomyReport:
     """Sample random weightings and check the abstain-or-err dichotomy.
 
     For each unit weighting, the margins on the core must either all vanish
@@ -173,8 +174,8 @@ def verify_dichotomy(fm: FeatureMatrix, core, trials: int, seed: int,
     norms[norms == 0] = 1.0
     lams /= norms[:, None]
     margins = lams @ a_core  # (trials, |core|)
-    all_zero = np.all(np.abs(margins) <= tol, axis=1)
-    some_negative = np.any(margins < -tol, axis=1)
+    all_zero = np.all(np.abs(margins) <= MARGIN_FLOOR, axis=1)
+    some_negative = np.any(margins < -MARGIN_FLOOR, axis=1)
     violations = int(np.sum(~(all_zero | some_negative)))
     return DichotomyReport(trials, violations, seed)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scalar import golden_max
-from .hardcore import HardCoreCertificate
+from .hardcore import CORE_TOL, HardCoreCertificate
 from .hypotheses import FeatureMatrix
 from .losses import Loss, UnsupportedLossError
 from .risk import margins, surrogate_risk
@@ -31,8 +31,6 @@ from .risk import margins, surrogate_risk
 # Line-search steps are truncated at this length; reaching it means the 1-D
 # minimum sits at +infinity (a separable direction).
 STEP_CAP = 2.0**60
-
-DECORRELATION_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -273,7 +271,7 @@ def dual_lower_bound(fm: FeatureMatrix, loss: Loss, q) -> float:
         raise ValueError("q must be a finite nonnegative vector, one entry per point")
     w = fm.weights
     viol = float(np.abs(fm.correlations @ (w * q)).max(initial=0.0)) / w.max()
-    if viol > DECORRELATION_TOL:
+    if viol > CORE_TOL:
         raise ValueError(f"q is not decorrelating: max violation {viol:g}")
     return _dual_value(loss, w, q)
 
@@ -288,8 +286,9 @@ def suboptimality_certificate(
     -sum_j w_j phi*(q_j) is maximized over s >= 0 by golden section; the
     result is primal minus that bound and is nonnegative up to tolerance.
     If phi*'s domain ends at a finite E, s ranges over [0, E / max_j p_j / w_j]
-    and that end, where a dual linear in s (hinge) peaks, is priced too;
-    otherwise the bracket doubles from max_j q_j = 1 while the dual grows.
+    and that end is priced too; hinge's dual, linear in s, peaks there and is
+    not searched.  Otherwise the bracket doubles from max_j q_j = 1 while the
+    dual grows.
     """
     primal = surrogate_risk(fm, lam, loss)
     w = fm.weights
@@ -304,6 +303,8 @@ def suboptimality_certificate(
     end = loss.conjugate_domain_end
     if math.isfinite(end):
         s_hi = end / float(unit.max())
+        if loss.kind == "hinge":
+            return primal - dual_of(s_hi)
         _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
         return primal - max(dual, dual_of(s_hi))
     s_one = s_hi = 1.0 / float(unit.max())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hardcoreboost import (
     surrogate_risk,
     vc_unbounded_bound,
 )
+from hardcoreboost import bounds as bounds_module
 from hardcoreboost.losses import Loss, parse_loss
 
 
@@ -203,6 +205,47 @@ class TestFullRiskBound:
         tiny = BoundInputs(m=10, n=8, delta=0.08, mu_core=0.5, c=2.0)
         report = full_risk_bound(tiny, Loss("hinge"))
         assert not report.preconditions["m_large_enough"]
+
+    @pytest.mark.parametrize("m, valid", [(11, False), (12, False), (13, False),
+                                          (14, False), (15, True)])
+    def test_report_is_valid_only_with_its_core_term(self, m, valid):
+        # the m * mu / 2 core points reach core_surrogate_bound's
+        # c^2 (ln n + ln(6 / delta')) = 7.09 only from m = 15
+        inputs = BoundInputs(m=m, n=2, delta=0.08, mu_core=1.0, c=1.0)
+        report = full_risk_bound(inputs, Loss("hinge"))
+        assert core_surrogate_bound(1.0, 2, 0.01, 0.0, m / 2.0).valid == valid
+        assert report.preconditions["m_large_enough"] == valid
+        assert report.valid == valid
+
+    @pytest.mark.parametrize("spec", ["hinge", "exp"])
+    def test_report_is_the_composed_bounds(self, spec):
+        # m_large_enough is the split condition of sample_split_bounds (each
+        # side of a random split keeps half its expected count) and the core
+        # term's own validity; the three values are the component calls
+        loss = parse_loss(spec)
+        for m, mu, c, n in itertools.product(
+            range(1, 201), (0.0, 0.3, 0.5, 1.0), (0.5, 1.0, 2.0), (2, 8)
+        ):
+            inputs = BoundInputs(m=m, n=n, delta=0.08, mu_core=mu, c=c)
+            report = full_risk_bound(inputs, loss)
+            dp = 0.01
+            split = True
+            if 0.0 < mu < 1.0:
+                lower_core, lower_plus = sample_split_bounds(m, mu, dp)
+                split = lower_core >= m * mu / 2.0 and lower_plus >= m * (1.0 - mu) / 2.0
+            psi, core_valid = 0.0, True
+            if mu > 0:
+                core = core_classification_bound(loss, c, n, dp, 0.0, m * mu / 2.0, 0.0)
+                psi, core_valid = core.value, core.valid
+            m_plus = m * (1.0 - mu) / 2.0
+            if mu == 1.0:
+                vc = 0.0
+            elif m_plus >= 1:
+                vc = vc_unbounded_bound(n, m_plus, 0.0, 1.0, dp, zero_error=True)
+            else:  # where vc_unbounded_bound raises, its tail is still reported
+                vc = bounds_module._vc_zero_error_tail(n, m_plus, dp)
+            assert report.preconditions["m_large_enough"] == (split and core_valid)
+            assert (report.psi_term, report.vc_term, report.total) == (psi, vc, psi + vc)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,18 @@ class TestExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["total"] > 0
 
+    def test_bounds_flags_an_invalid_core_term(self, capsys):
+        # 12 * 1 / 2 core points are too few for the core term's own
+        # precondition, so the report may not call m large enough
+        code = run(
+            "bounds --m 12 --n 2 --delta 0.08 --mu-core 1 --c 1 --loss hinge"
+            " --no-timestamp".split()
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert '"m_large_enough": false' in out
+        assert json.loads(out)["preconditions"]["m_large_enough"] is False
+
     def test_missing_dataset_argument_usage_error(self, capsys):
         code = run(["train"])
         assert code == 2

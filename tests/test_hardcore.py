@@ -17,6 +17,7 @@ from hardcoreboost import (
     verify_dichotomy,
 )
 from hardcoreboost import hardcore
+from hardcoreboost.lp import LpError
 from hardcoreboost.losses import Loss
 
 
@@ -73,6 +74,33 @@ class TestComputeHardcore:
             scale = rng.uniform(0.2, 1.0, size=fm.n)
             scaled = FeatureMatrix(fm.features * scale, fm.labels)
             assert np.array_equal(compute_hardcore(scaled).core, base)
+
+    @pytest.mark.parametrize(
+        "scale, core_frac",
+        [
+            pytest.param(scale, frac, id=f"{scale:g}-{frac}")
+            for scale in (1.0, 1e-3, 1e-5, 1e-7)
+            for frac in (0.0, 0.5)
+            if (scale, frac) != (1e-7, 0.5)
+        ]
+        + [
+            # ROADMAP item 14: the tolerances are absolute, so a small
+            # enough feature scale breaks the LPs or empties the complement
+            pytest.param(1e-7, 0.5, id="1e-07-0.5", marks=pytest.mark.xfail(
+                raises=LpError, strict=True, reason="HiGHS fails (item 14)")),
+            pytest.param(1e-9, 0.0, id="1e-09-0.0", marks=pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="all 160 points in the core (item 14)")),
+            pytest.param(1e-9, 0.5, id="1e-09-0.5", marks=pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="all 160 points in the core (item 14)")),
+        ],
+    )
+    def test_planted_core_under_feature_scale(self, scale, core_frac):
+        # the core of c H is the core of H for every c > 0
+        x, y, core = planted_problem(160, 8, core_frac, np.random.default_rng(7))
+        cert = compute_hardcore(FeatureMatrix(scale * x, y))
+        assert np.array_equal(cert.core, core)
 
     def test_duplication_invariance_of_core(self):
         fm = three_point_fm()
@@ -191,6 +219,15 @@ class TestDichotomy:
         rep = verify_dichotomy(fm, np.array([0, 1, 2]), trials=1000, seed=2)
         assert rep.trials == 1000
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("factor, violated", [(0.5, False), (2.0, True)])
+    def test_margin_floor_separates_zero_from_positive(self, factor, violated):
+        # on a one-point core with feature h the unit weightings are +-1, so
+        # +1 gives the margin h: zero within MARGIN_FLOOR, positive above it
+        h = factor * hardcore.MARGIN_FLOOR
+        fm = FeatureMatrix(np.array([[h]]), np.array([1.0]))
+        rep = verify_dichotomy(fm, np.array([0]), trials=50, seed=0)
+        assert (rep.violations > 0) == violated
 
 
 class TestBoundedRepresentation:

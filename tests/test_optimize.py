@@ -22,6 +22,7 @@ from hardcoreboost import (
     surrogate_risk,
 )
 from hardcoreboost.experiments import LatticeNoiseWorld, build_staggered, sample_world
+from hardcoreboost.hardcore import CORE_TOL
 from hardcoreboost.hypotheses import LatticeCellClass
 from hardcoreboost.losses import Loss, UnsupportedLossError, parse_loss
 from hardcoreboost.optimize import STEP_CAP, _line_search
@@ -583,6 +584,33 @@ class TestWeightedDuality:
         suboptimality_certificate(fm, Loss("exp"), np.zeros(1), compute_hardcore(fm))
         assert 1.0 in scales and 2.0 in scales  # the bracket doubled at least once
         assert len(scales) == len(set(scales))
+
+    def test_hinge_prices_only_the_end_point(self, monkeypatch):
+        # phi*(q) = -q makes the hinge dual linear in the scale: one dual value
+        # at the end of the conjugate's domain, no search
+        real = optimize_module._dual_value
+        calls = []
+
+        def spy(loss, weights, q):
+            calls.append(float(q.max()))
+            return real(loss, weights, q)
+
+        monkeypatch.setattr(optimize_module, "_dual_value", spy)
+        fm = weighted_pair_fm()
+        suboptimality_certificate(fm, Loss("hinge"), np.array([1.0]), compute_hardcore(fm))
+        assert calls == [1.0]
+
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_decorrelation_tolerance_is_the_core_tolerance(self, factor, accepted):
+        # w q = (0.5, 0.5 (1 + eps)) leaves A (w q) = -eps / 2, which is eps
+        # in units of max_j w_j
+        fm = FeatureMatrix(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+        q = np.array([1.0, 1.0 + factor * CORE_TOL])
+        if accepted:
+            assert math.isfinite(dual_lower_bound(fm, Loss("exp"), q))
+        else:
+            with pytest.raises(ValueError, match="decorrelating"):
+                dual_lower_bound(fm, Loss("exp"), q)
 
     def test_weighted_pair_hinge_gap_at_zero(self):
         fm = weighted_pair_fm()
