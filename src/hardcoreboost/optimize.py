@@ -286,9 +286,8 @@ def suboptimality_certificate(
     -sum_j w_j phi*(q_j) is maximized over s >= 0 by golden section; the
     result is primal minus that bound and is nonnegative up to tolerance.
     If phi*'s domain ends at a finite E, s ranges over [0, E / max_j p_j / w_j]
-    and that end is priced too; hinge's dual, linear in s, peaks there and is
-    not searched.  Otherwise the bracket doubles from max_j q_j = 1 while the
-    dual grows.
+    and that end, where a dual linear in s (hinge) peaks, is priced too;
+    otherwise the bracket doubles from max_j q_j = 1 while the dual grows.
     """
     primal = surrogate_risk(fm, lam, loss)
     w = fm.weights
@@ -303,8 +302,6 @@ def suboptimality_certificate(
     end = loss.conjugate_domain_end
     if math.isfinite(end):
         s_hi = end / float(unit.max())
-        if loss.kind == "hinge":
-            return primal - dual_of(s_hi)
         _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
         return primal - max(dual, dual_of(s_hi))
     s_one = s_hi = 1.0 / float(unit.max())

@@ -18,7 +18,6 @@ from hardcoreboost import (
     surrogate_risk,
     vc_unbounded_bound,
 )
-from hardcoreboost import bounds as bounds_module
 from hardcoreboost.losses import Loss, parse_loss
 
 
@@ -218,34 +217,36 @@ class TestFullRiskBound:
         assert report.valid == valid
 
     @pytest.mark.parametrize("spec", ["hinge", "exp"])
-    def test_report_is_the_composed_bounds(self, spec):
-        # m_large_enough is the split condition of sample_split_bounds (each
-        # side of a random split keeps half its expected count) and the core
-        # term's own validity; the three values are the component calls
-        loss = parse_loss(spec)
+    def test_m_large_enough_needs_the_split_and_the_core_term(self, spec):
+        # with 0 < mu < 1 each side of the split keeps half its expected count
+        # exactly when the Hoeffding deviation sqrt(ln(1/delta') / 2m) is at
+        # most min(mu, 1 - mu) / 2; a core of m mu / 2 points needs its
+        # Rademacher term to be valid
+        loss, dp = parse_loss(spec), 0.01
         for m, mu, c, n in itertools.product(
             range(1, 201), (0.0, 0.3, 0.5, 1.0), (0.5, 1.0, 2.0), (2, 8)
         ):
-            inputs = BoundInputs(m=m, n=n, delta=0.08, mu_core=mu, c=c)
-            report = full_risk_bound(inputs, loss)
-            dp = 0.01
-            split = True
-            if 0.0 < mu < 1.0:
-                lower_core, lower_plus = sample_split_bounds(m, mu, dp)
-                split = lower_core >= m * mu / 2.0 and lower_plus >= m * (1.0 - mu) / 2.0
-            psi, core_valid = 0.0, True
-            if mu > 0:
-                core = core_classification_bound(loss, c, n, dp, 0.0, m * mu / 2.0, 0.0)
-                psi, core_valid = core.value, core.valid
-            m_plus = m * (1.0 - mu) / 2.0
-            if mu == 1.0:
-                vc = 0.0
-            elif m_plus >= 1:
-                vc = vc_unbounded_bound(n, m_plus, 0.0, 1.0, dp, zero_error=True)
-            else:  # where vc_unbounded_bound raises, its tail is still reported
-                vc = bounds_module._vc_zero_error_tail(n, m_plus, dp)
-            assert report.preconditions["m_large_enough"] == (split and core_valid)
-            assert (report.psi_term, report.vc_term, report.total) == (psi, vc, psi + vc)
+            report = full_risk_bound(BoundInputs(m=m, n=n, delta=0.08, mu_core=mu, c=c), loss)
+            split = mu in (0.0, 1.0) or m >= 2.0 * math.log(1.0 / dp) / min(mu, 1.0 - mu) ** 2
+            core = mu == 0.0 or core_surrogate_bound(c, n, dp, 0.0, m * mu / 2.0).valid
+            assert report.preconditions["m_large_enough"] == (split and core)
+
+    @pytest.mark.parametrize(
+        "spec, m, mu, c, n, psi, vc",
+        [
+            ("hinge", 12, 1.0, 1.0, 2, 4.0987247620623535, 0.0),
+            ("hinge", 200, 0.3, 0.5, 8, 0.9721396711423465, 2.604659638293333),
+            ("hinge", 37, 0.5, 1.0, 2, 3.3010607312565714, 5.159910693296166),
+            ("exp", 150, 0.5, 2.0, 8, 3.7298968464437317, 4.334648668735854),
+            ("exp", 1, 0.3, 1.0, 2, 10.182850583308678, 80.60252627694084),
+            ("exp", 60, 0.0, 1.0, 8, 0.0, 5.183794061399263),
+        ],
+    )
+    def test_terms_are_unchanged(self, spec, m, mu, c, n, psi, vc):
+        # values of the bound before its preconditions were taken from its parts
+        inputs = BoundInputs(m=m, n=n, delta=0.08, mu_core=mu, c=c)
+        report = full_risk_bound(inputs, parse_loss(spec))
+        assert (report.psi_term, report.vc_term, report.total) == (psi, vc, psi + vc)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

