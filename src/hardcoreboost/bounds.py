@@ -54,7 +54,6 @@ class BoundReport:
     total: float
     delta_prime: float
     preconditions: dict = field(default_factory=dict)
-    inputs: BoundInputs | None = None
 
     @property
     def valid(self) -> bool:
@@ -71,14 +70,6 @@ def sample_split_bounds(m: int, mu_core: float, delta_prime: float) -> tuple[flo
     return lower_core, lower_plus
 
 
-def _vc_log_term(n: int, m_plus: float, delta_prime: float) -> float:
-    return n * math.log(2.0 * m_plus + 1.0) + math.log(4.0 / delta_prime)
-
-
-def _vc_zero_error_tail(n: int, m_plus: float, delta_prime: float) -> float:
-    return 4.0 * _vc_log_term(n, m_plus, delta_prime) / m_plus
-
-
 def vc_unbounded_bound(
     n: int,
     m_plus: float,
@@ -86,22 +77,24 @@ def vc_unbounded_bound(
     phi0: float,
     delta_prime: float,
     zero_error: bool = False,
-) -> float:
+) -> BoundValue:
     """Classification-risk bound over the complement via VC relative deviations.
 
     zero_error selects the sharper form available when epsilon < phi0 / m.
+    Flagged invalid when m_plus < 1; an m_plus that is not positive and
+    finite is an error.
     """
-    if m_plus < 1:
-        raise ValueError("m_plus must be >= 1")
-    tail = _vc_zero_error_tail(n, m_plus, delta_prime)
-    if zero_error:
-        return tail
-    log_term = _vc_log_term(n, m_plus, delta_prime)
-    return (
-        epsilon / phi0
-        + 2.0 * math.sqrt(2.0 * epsilon * log_term / (phi0 * m_plus))
-        + tail
-    )
+    if not 0.0 < m_plus < math.inf:  # NaN included
+        raise ValueError("m_plus must be positive and finite")
+    log_term = n * math.log(2.0 * m_plus + 1.0) + math.log(4.0 / delta_prime)
+    value = 4.0 * log_term / m_plus
+    if not zero_error:
+        value = (
+            epsilon / phi0
+            + 2.0 * math.sqrt(2.0 * epsilon * log_term / (phi0 * m_plus))
+            + value
+        )
+    return BoundValue(value, bool(m_plus >= 1.0))
 
 
 def core_surrogate_bound(
@@ -137,7 +130,10 @@ def core_classification_bound(
 
 
 def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) -> BoundReport:
-    """Composed classification-risk bound for the full problem, delta' = delta / 8."""
+    """Composed classification-risk bound for the full problem, delta' = delta / 8.
+
+    m_large_enough holds when the sample split and both composed terms are valid.
+    """
     if not approx_error >= 0:  # NaN included
         raise ValueError("approx_error must be nonnegative")
     dp = inputs.delta / 8.0
@@ -148,36 +144,37 @@ def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) 
     if mu_c > 0 and mu_cc > 0:
         lower_core, lower_plus = sample_split_bounds(inputs.m, mu_c, dp)
         split = lower_core >= inputs.m * mu_c / 2.0 and lower_plus >= inputs.m * mu_cc / 2.0
-    psi_term = vc_term = 0.0
-    core_valid = True
+    psi = vc = BoundValue(0.0, True)  # a side of zero mass adds no term
     if mu_c > 0:
-        core = core_classification_bound(
+        psi = core_classification_bound(
             loss, inputs.c, inputs.n, dp, inputs.epsilon, inputs.m * mu_c / 2.0, approx_error
         )
-        psi_term, core_valid = core.value, core.valid
+    if mu_cc > 0:
+        vc = vc_unbounded_bound(
+            inputs.n, inputs.m * mu_cc / 2.0, inputs.epsilon, inputs.phi0, dp, zero_error=True
+        )
     preconditions = {
-        "m_large_enough": split and core_valid,
+        "m_large_enough": split and psi.valid and vc.valid,
         "epsilon_small": inputs.epsilon < inputs.phi0 / inputs.m,
     }
-    if mu_cc > 0:
-        # vc_unbounded_bound(..., zero_error=True) without its m_plus >= 1 guard:
-        # a complement of under two sample points still gets its (vacuous) term
-        m_plus = inputs.m * mu_cc / 2.0
-        vc_term = _vc_zero_error_tail(inputs.n, m_plus, dp)
-    return BoundReport(psi_term, vc_term, psi_term + vc_term, dp, preconditions, inputs)
+    return BoundReport(psi.value, vc.value, psi.value + vc.value, dp, preconditions)
+
+
+def _rademacher_c(lipschitz_at_b: float, b: float, phi_at_b: float) -> float:
+    """The Rademacher constant c = max(2 L b sqrt(2), phi(b)).
+
+    The b factor is kept in the Massart step R_m(span(H, b)) <= b sqrt(2 ln(n) / m).
+    """
+    return max(2.0 * lipschitz_at_b * b * math.sqrt(2.0), phi_at_b)
 
 
 def rademacher_surrogate_deviation(
     n: int, m: int, b: float, lipschitz_at_b: float, phi_at_b: float, delta: float
 ) -> float:
-    """Uniform |true - empirical| surrogate deviation over the l1 ball of radius b.
-
-    The constant is c = max(2 L b sqrt(2), phi(b)); the b factor is kept in
-    the Massart step R_m(span(H, b)) <= b sqrt(2 ln(n) / m).
-    """
+    """Uniform |true - empirical| surrogate deviation over the l1 ball of radius b."""
     if b <= 0 or m < 1:
         raise ValueError("b must be positive and m >= 1")
-    c = max(2.0 * lipschitz_at_b * b * math.sqrt(2.0), phi_at_b)
+    c = _rademacher_c(lipschitz_at_b, b, phi_at_b)
     return c * (math.sqrt(math.log(n)) + math.sqrt(math.log(2.0 / delta))) / math.sqrt(m)
 
 
@@ -195,4 +192,4 @@ def constants_from_certificate(cert, fm, loss: Loss, lam) -> tuple[float, float]
     rep = bounded_representation(fm, cert.core, np.asarray(lam, dtype=float))
     b = max(float(np.abs(rep).sum()), 1e-12)
     lip, phib = rademacher_constant(loss, b)
-    return max(2.0 * lip * b * math.sqrt(2.0), phib), b
+    return _rademacher_c(lip, b, phib), b

@@ -74,8 +74,7 @@ def cmd_train(args) -> dict:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["iter", "objective", "l1_norm", "grad_sup_norm"])
-        for i, obj in enumerate(run.objective_trace):
-            norm = run.norm_trace[i] if i < len(run.norm_trace) else ""
+        for i, (obj, norm) in enumerate(zip(run.objective_trace, run.norm_trace)):
             grad = run.grad_sup_trace[i] if i < len(run.grad_sup_trace) else ""
             writer.writerow([i, obj, norm, grad])
         _write_atomic(args.trace, buf.getvalue())
@@ -97,6 +96,7 @@ def cmd_hardcore(args) -> dict:
     dich = hardcore.verify_dichotomy(fm, cert.core, trials=args.trials, seed=args.seed)
     return {
         "core": cert.core.tolist(),
+        "core_mass": float(fm.weights[cert.core].sum()),
         "p": cert.p.tolist(),
         "lambda": cert.separator.tolist(),
         "margin": None if np.isinf(cert.margin) else cert.margin,
@@ -114,7 +114,7 @@ def cmd_bounds(args) -> dict:
         path = args.from_certificate
         with open(path) as fh:
             cert = json.load(fh)
-        mu_core = _field(cert, "core", len, path) / max(1, _field(cert, "p", len, path))
+        mu_core = _field(cert, "core_mass", float, path)
     else:
         mu_core = args.mu_core
     inputs = bounds_mod.BoundInputs(

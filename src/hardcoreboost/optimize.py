@@ -50,16 +50,13 @@ class OptimizerConfig:
 @dataclass
 class OptRun:
     lam: np.ndarray
-    objective_trace: np.ndarray
+    objective: float  # surrogate risk at lam
+    objective_trace: np.ndarray  # one entry per iterate, the start included
     grad_sup_trace: np.ndarray
     norm_trace: np.ndarray
     stop_reason: str  # "gradient" | "iterations" | "target"
     iterations: int
     truncated_steps: int = 0
-
-    @property
-    def objective(self) -> float:
-        return float(self.objective_trace[-1])
 
 
 # Both optimizers form z = -y (H lam) once per iteration and take the
@@ -102,10 +99,9 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
         norms.append(float(np.abs(lam).sum()))
         if obj < best_obj:
             best_obj, best_lam = obj, lam.copy()
-    objs.append(best_obj)
-    norms.append(float(np.abs(best_lam).sum()))
     return OptRun(
         best_lam,
+        best_obj,
         np.array(objs),
         np.array(grads),
         np.array(norms),
@@ -237,6 +233,7 @@ def coordinate_descent(
         norms.append(float(np.abs(lam).sum()))
     return OptRun(
         lam,
+        objs[-1],
         np.array(objs),
         np.array(grads),
         np.array(norms),

@@ -295,5 +295,6 @@ def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
         objs.append(float(np.sum(fm.weights * loss.value(z))))
         norms.append(float(np.abs(lam).sum()))
     return OptRun(
-        lam, np.array(objs), np.array(grads), np.array(norms), stop, it, truncated_steps=truncated
+        lam, objs[-1], np.array(objs), np.array(grads), np.array(norms), stop, it,
+        truncated_steps=truncated,
     )

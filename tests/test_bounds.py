@@ -41,20 +41,43 @@ class TestVcBound:
     def test_zero_error_form(self):
         n, m_plus, dp = 3, 500, 0.02
         expected = 4 * (n * math.log(2 * m_plus + 1) + math.log(4 / dp)) / m_plus
-        assert vc_unbounded_bound(n, m_plus, 0.0, 1.0, dp, zero_error=True) == pytest.approx(expected)
+        assert vc_unbounded_bound(n, m_plus, 0.0, 1.0, dp, zero_error=True).value == pytest.approx(
+            expected
+        )
 
     def test_worked_example(self):
-        v = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=True)
+        v = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=True).value
         assert v == pytest.approx(0.08389, abs=1e-4)
 
     def test_general_form_reduces_at_zero_epsilon(self):
-        a = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=False)
-        b = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=True)
+        a = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=False).value
+        b = vc_unbounded_bound(2, 1000, 0.0, 1.0, 0.0125, zero_error=True).value
         assert a == pytest.approx(b)
 
     def test_monotone_in_m_plus(self):
-        vals = [vc_unbounded_bound(3, m, 0.0, 1.0, 0.05, True) for m in (100, 400, 1600)]
+        vals = [vc_unbounded_bound(3, m, 0.0, 1.0, 0.05, True).value for m in (100, 400, 1600)]
         assert vals[0] > vals[1] > vals[2]
+
+    @pytest.mark.parametrize(
+        "n, m_plus, epsilon, phi0, dp, value",
+        [(3, 250, 0.01, 1.0, 0.01, 0.49305923343489083),
+         (2, 1000, 1e-3, 0.5, 0.0125, 0.10420219931197292),
+         (6, 1.5, 0.2, 1.0, 0.05, 37.74666377736313)],
+    )
+    def test_general_form_is_unchanged(self, n, m_plus, epsilon, phi0, dp, value):
+        # the values of the general form when it returned a bare float
+        assert vc_unbounded_bound(n, m_plus, epsilon, phi0, dp).value == value
+
+    def test_precondition_flag(self):
+        # under one complement point the term is still evaluated, flagged invalid
+        for zero_error in (True, False):
+            assert not vc_unbounded_bound(2, 0.5, 1e-3, 1.0, 0.01, zero_error).valid
+            assert vc_unbounded_bound(2, 1.0, 1e-3, 1.0, 0.01, zero_error).valid
+
+    @pytest.mark.parametrize("m_plus", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_error(self, m_plus):
+        with pytest.raises(ValueError, match="m_plus"):
+            vc_unbounded_bound(2, m_plus, 0.0, 1.0, 0.01)
 
 
 class TestCoreSurrogateBound:
@@ -198,12 +221,21 @@ class TestFullRiskBound:
         psi = core_classification_bound(loss, 1.5, 6, dp, 1e-3, 4000 * 0.3 / 2, 0.02)
         vc = vc_unbounded_bound(6, 4000 * 0.7 / 2, 1e-3, 1.0, dp, zero_error=True)
         assert report.psi_term == pytest.approx(psi.value, rel=1e-15)
-        assert report.vc_term == pytest.approx(vc, rel=1e-15)
+        assert report.vc_term == pytest.approx(vc.value, rel=1e-15)
 
     def test_precondition_flags(self):
         tiny = BoundInputs(m=10, n=8, delta=0.08, mu_core=0.5, c=2.0)
         report = full_risk_bound(tiny, Loss("hinge"))
         assert not report.preconditions["m_large_enough"]
+
+    def test_m_large_enough_needs_a_complement_point(self):
+        # mu = 0 leaves m / 2 = 1/2 complement points for the VC term, which
+        # is still reported, at its value before it was flagged
+        report = full_risk_bound(BoundInputs(m=1, n=2, delta=0.08), Loss("exp"))
+        assert not report.preconditions["m_large_enough"]
+        assert (report.psi_term, report.vc_term, report.total) == (
+            0.0, 59.02207126582298, 59.02207126582298
+        )
 
     @pytest.mark.parametrize("m, valid", [(11, False), (12, False), (13, False),
                                           (14, False), (15, True)])
@@ -221,7 +253,8 @@ class TestFullRiskBound:
         # with 0 < mu < 1 each side of the split keeps half its expected count
         # exactly when the Hoeffding deviation sqrt(ln(1/delta') / 2m) is at
         # most min(mu, 1 - mu) / 2; a core of m mu / 2 points needs its
-        # Rademacher term to be valid
+        # Rademacher term to be valid, and a complement of m (1 - mu) / 2
+        # points needs at least one point for its VC term
         loss, dp = parse_loss(spec), 0.01
         for m, mu, c, n in itertools.product(
             range(1, 201), (0.0, 0.3, 0.5, 1.0), (0.5, 1.0, 2.0), (2, 8)
@@ -229,7 +262,8 @@ class TestFullRiskBound:
             report = full_risk_bound(BoundInputs(m=m, n=n, delta=0.08, mu_core=mu, c=c), loss)
             split = mu in (0.0, 1.0) or m >= 2.0 * math.log(1.0 / dp) / min(mu, 1.0 - mu) ** 2
             core = mu == 0.0 or core_surrogate_bound(c, n, dp, 0.0, m * mu / 2.0).valid
-            assert report.preconditions["m_large_enough"] == (split and core)
+            vc = mu == 1.0 or m * (1.0 - mu) / 2.0 >= 1.0
+            assert report.preconditions["m_large_enough"] == (split and core and vc)
 
     @pytest.mark.parametrize(
         "spec, m, mu, c, n, psi, vc",

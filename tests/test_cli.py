@@ -141,6 +141,23 @@ class TestTrainCommand:
         assert lines[0] == "iter,objective,l1_norm,grad_sup_norm"
         assert len(lines) >= 2
 
+    def test_subgradient_trace_has_one_row_per_iterate(self, capsys, three_point, tmp_path):
+        trace = tmp_path / "trace.csv"
+        code = run(
+            ["train", str(three_point), "--class", "proj:1", "--loss", "hinge",
+             "--method", "sub", "--max-iters", "3", "--trace", str(trace),
+             "--no-timestamp"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["iterations"] == 3 and report["stop_reason"] == "iterations"
+        rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
+        # the start and one row per step, each with the gradient taken there
+        # except the last iterate's
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert all(row[3] != "" for row in rows[:3]) and rows[3][3] == ""
+        assert report["objective"] == min(float(row[1]) for row in rows)
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, three_point, tmp_path):
@@ -245,7 +262,23 @@ class TestBoundsCommand:
         )
         assert code == 1
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ValueError", "message": f"{cert}: missing key 'p'"}
+        assert err == {"error": "ValueError", "message": f"{cert}: missing key 'core_mass'"}
+
+    def test_certificate_core_mass_is_weighted(self, capsys, tmp_path):
+        # the core {0, 1} holds 2 of 3 points but only 0.1 of the mass
+        data = tmp_path / "weighted.csv"
+        data.write_text("f1,f2,label,weight\n1,0,1,0.05\n1,0,-1,0.05\n0,1,1,0.9\n")
+        cert_path = tmp_path / "cert.json"
+        assert run(["hardcore", str(data), "--class", "proj:2", "--seed", "0",
+                    "--out", str(cert_path), "--no-timestamp"]) == 0
+        cert = json.loads(cert_path.read_text())
+        assert cert["core"] == [0, 1]
+        assert cert["core_mass"] == pytest.approx(0.1, abs=1e-15)
+        code = run(["bounds", "--m", "100", "--n", "2", "--delta", "0.1", "--loss", "hinge",
+                    "--from-certificate", str(cert_path), "--no-timestamp"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["mu_core"] == cert["core_mass"]
 
 
 class TestImpossibilityCommand:

@@ -147,6 +147,16 @@ class TestSubgradientDescent:
         )
         assert len(run.objective_trace) == len(run.norm_trace)
 
+    def test_traces_hold_only_iterates(self):
+        # the start and one entry per step; the objective is the best of them
+        fm = FeatureMatrix(np.array([[0.5], [0.5], [1.0]]), np.array([1.0, -1.0, 1.0]))
+        cfg = OptimizerConfig(method="subgradient", max_iters=5)
+        run = subgradient_descent(fm, Loss("hinge"), cfg)
+        assert run.stop_reason == "iterations"
+        assert len(run.objective_trace) == len(run.norm_trace) == run.iterations + 1
+        assert run.objective == run.objective_trace.min()
+        assert run.objective == surrogate_risk(fm, run.lam, Loss("hinge"))
+
 
 class TestCoordinateDescent:
     def test_loss_gate(self):
