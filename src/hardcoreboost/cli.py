@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -36,9 +37,11 @@ def _write_atomic(path: str, text: str):
 
 
 def _emit(report: dict, out: str | None, no_timestamp: bool):
+    """Write the report as JSON; a NaN or infinite value is a ValueError, as
+    JSON has no such numbers, and nothing is written."""
     if not no_timestamp:
         report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         _write_atomic(out, text)
     else:
@@ -70,15 +73,7 @@ def cmd_train(args) -> dict:
         method=method, max_iters=args.max_iters, step_scale=args.step_scale
     )
     run = run_optimizer(fm, loss, cfg)
-    if args.trace:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["iter", "objective", "l1_norm", "grad_sup_norm"])
-        for i, (obj, norm) in enumerate(zip(run.objective_trace, run.norm_trace)):
-            grad = run.grad_sup_trace[i] if i < len(run.grad_sup_trace) else ""
-            writer.writerow([i, obj, norm, grad])
-        _write_atomic(args.trace, buf.getvalue())
-    return {
+    report = {
         "lambda": run.lam.tolist(),
         "objective": run.objective,
         "l1_norm": float(np.abs(run.lam).sum()),
@@ -86,6 +81,17 @@ def cmd_train(args) -> dict:
         "stop_reason": run.stop_reason,
         "truncated_steps": run.truncated_steps,
     }
+    if args.trace:
+        # a report JSON cannot carry fails here, before the trace is written
+        json.dumps(report, allow_nan=False)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["iter", "objective", "l1_norm", "grad_sup_norm"])
+        for i, (obj, norm) in enumerate(zip(run.objective_trace, run.norm_trace)):
+            grad = run.grad_sup_trace[i] if i < len(run.grad_sup_trace) else ""
+            writer.writerow([i, obj, norm, grad])
+        _write_atomic(args.trace, buf.getvalue())
+    return report
 
 
 def cmd_hardcore(args) -> dict:
@@ -144,6 +150,8 @@ def cmd_bounds(args) -> dict:
 def cmd_impossibility(args) -> dict:
     loss = parse_loss(args.loss)
     scales = [float(s) for s in args.scales.split(",")]
+    if not all(math.isfinite(s) for s in scales):
+        raise ValueError(f"scales must be finite, got {args.scales!r}")
     rep = experiments.impossibility_report(
         args.depth, args.m, scales, loss, seed=args.seed
     )
@@ -273,11 +281,11 @@ def run(argv) -> int:
     }
     try:
         report = handlers[args.command](args)
-    except (OSError, ValueError, RuntimeError) as exc:
+        if report:
+            _emit(report, args.out, args.no_timestamp)
+    except (OSError, ValueError, RuntimeError, OverflowError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
-    if report:
-        _emit(report, args.out, args.no_timestamp)
     return 0
 
 

@@ -36,7 +36,25 @@ def _exp_clamped(z):
     return np.exp(np.minimum(z, EXP_CLAMP)), saturated
 
 
+def _cone_start(c1, c2, g):
+    """ln u for the positive root u of c2 u^2 + b u - g = 0, b = c1 + c2 - g.
+
+    Each branch takes the form without cancellation: with h = sqrt(b^2 + 4 c2 g)
+    from hypot and s = (|b| + h) / 2, u = g / s for b > 0, else s / c2.  The
+    logarithm of the quotient keeps every g from subnormal up to the largest
+    double finite and free of overflow; g = +inf gives +inf.
+    """
+    b = (c1 + c2) - g
+    s = 0.5 * np.abs(b) + 0.5 * np.hypot(b, 2.0 * math.sqrt(c2) * np.sqrt(g))
+    pos = b > 0
+    return np.log(np.where(pos, g, s)) - np.log(np.where(pos, s, c2))
+
+
 def _scalar_like(value, z):
+    # an ndarray is decided by its ndim: np.isscalar would run the slow
+    # numbers.Number ABC check on it
+    if isinstance(z, np.ndarray):
+        return float(value) if z.ndim == 0 else value
     if np.isscalar(z) or np.ndim(z) == 0:
         return float(value)
     return value
@@ -142,8 +160,12 @@ class Loss:
 
         Accepts a scalar or an array of any shape and returns the same shape;
         g = +inf and g outside the domain give +inf.  The two-sided cone has
-        no closed form: its maximizer solves phi'(z) = g, and one elementwise
-        bisect_root call finds it for every positive entry at once.
+        no closed form: its maximizer solves phi'(z) = g.  With u = e^z the
+        unclamped equation c1 u / (1 + u) + c2 u = g is the quadratic
+        c2 u^2 + (c1 + c2 - g) u - g = 0, whose positive root starts one
+        elementwise bisect_root call on every positive entry at once; its
+        Newton steps confirm that start from phi' and phi'' and handle the
+        exp clamp.
         """
         ga = np.asarray(g, dtype=float)
         out = np.full(ga.shape, np.inf)
@@ -173,7 +195,14 @@ class Loss:
             out[ga == 0] = 0.0
             pos = ga > 0
             gp = ga[pos]
-            zstar = bisect_root(lambda z: self.subgradient(z) - gp, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0)
+
+            def residual(z):
+                d1, d2 = self.derivatives(z)
+                return d1 - gp, d2
+
+            zstar = bisect_root(
+                residual, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0, _cone_start(self.c1, self.c2, gp)
+            )
             out[pos] = gp * zstar - self.value(zstar)
         return _scalar_like(out, g)
 

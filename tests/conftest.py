@@ -158,7 +158,8 @@ def grid_min_risk(fm, loss, radius=6.0, steps=241):
 
 
 def scalar_bisect_root(g, lo, hi, tol=1e-12, max_iter=400):
-    """One scalar bisection per call; the elementwise bisect_root must match it bit for bit."""
+    """One scalar bisection per call: the reference root the elementwise
+    bisect_root and the cone conjugate are checked against."""
     glo, ghi = g(lo), g(hi)
     if glo > 0:
         return lo

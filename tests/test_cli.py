@@ -158,6 +158,23 @@ class TestTrainCommand:
         assert all(row[3] != "" for row in rows[:3]) and rows[3][3] == ""
         assert report["objective"] == min(float(row[1]) for row in rows)
 
+    def test_non_finite_report_writes_no_trace(self, capsys, tmp_path):
+        # an infinite step scale sends the best iterate to infinity; the
+        # report is a domain error, and neither it nor the trace is written
+        data = tmp_path / "separable.csv"
+        data.write_text("f1,label\n1.0,1\n0.5,1\n-1.0,-1\n")
+        trace, out = tmp_path / "trace.csv", tmp_path / "report.json"
+        code = run(
+            ["train", str(data), "--class", "proj:1", "--loss", "hinge",
+             "--method", "sub", "--step-scale", "inf", "--max-iters", "3",
+             "--trace", str(trace), "--out", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not trace.exists() and not out.exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "not JSON compliant" in err["message"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, three_point, tmp_path):
@@ -253,6 +270,35 @@ class TestBoundsCommand:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and message in err["message"]
 
+    @pytest.mark.parametrize(
+        "extra", [["--approx-error", "inf"], ["--c", "inf"], ["--b", "inf"]],
+        ids=["approx-error-inf", "c-inf", "b-inf"],
+    )
+    def test_non_finite_output_is_a_domain_error(self, capsys, tmp_path, extra):
+        # JSON has no Infinity: an infinite bound exits 1 and writes nothing
+        out = tmp_path / "bounds.json"
+        code = run(["bounds", "--m", "2", "--n", "2", "--delta", "0.1", "--loss", "exp",
+                    "--mu-core", "1", *extra, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "not JSON compliant" in err["message"]
+        assert run(["bounds", "--m", "2", "--n", "2", "--delta", "0.1", "--loss", "exp",
+                    "--mu-core", "1", *extra]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_integer_too_large_for_a_float_domain_error(self, capsys, flag):
+        sizes = {"--m": "1000", "--n": "2", flag: "1" + "0" * 400}
+        code = run(["bounds", *[t for kv in sizes.items() for t in kv],
+                    "--delta", "0.1", "--loss", "exp", "--no-timestamp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "OverflowError" and "too large" in err["message"]
+
     def test_certificate_without_p_domain_error(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"core": [0]}))
@@ -290,6 +336,16 @@ class TestImpossibilityCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["depth"] == 4
         assert len(report["rows"]) == 6
+
+    @pytest.mark.parametrize("scales", ["nan,inf", "1,nan", "2,-inf"])
+    def test_non_finite_scales_domain_error(self, capsys, scales):
+        code = run(["impossibility", "--depth", "3", "--m", "20", "--scales", scales,
+                    "--loss", "exp", "--seed", "0", "--no-timestamp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "scales must be finite" in err["message"]
 
     def test_saturated_rows_are_marked(self, capsys):
         code = run(

@@ -3,13 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import scalar_bisect_root, two_search_psi
+from conftest import planted_problem, scalar_bisect_root, two_search_psi
 from hypothesis import strategies as st
 
+from hardcoreboost import (
+    FeatureMatrix,
+    OptimizerConfig,
+    compute_hardcore,
+    coordinate_descent,
+    suboptimality_certificate,
+)
 from hardcoreboost.losses import (
     EXP_CLAMP,
     Loss,
     UnsupportedLossError,
+    _scalar_like,
     parse_loss,
     psi_inverse_bound,
     psi_numeric,
@@ -123,6 +131,21 @@ class TestDerivatives:
             Loss("hinge").derivatives(np.zeros(3))
 
 
+class TestScalarLike:
+    @pytest.mark.parametrize("z", [np.array(0.5), np.float64(0.5), np.float32(0.5), 0.5, 1],
+                             ids=["0-d-array", "float64", "float32", "float", "int"])
+    def test_scalar_inputs_give_a_float(self, z):
+        assert type(_scalar_like(np.asarray(2.0), z)) is float
+        assert type(Loss("exp").value(z)) is float
+
+    @pytest.mark.parametrize("z", [[0.5, 1.0], np.array([0.5, 1.0]), np.zeros((2, 2))],
+                             ids=["list", "1-d-array", "2-d-array"])
+    def test_array_inputs_give_the_array_itself(self, z):
+        value = np.ones(np.shape(z))
+        assert _scalar_like(value, z) is value
+        assert isinstance(Loss("exp").value(z), np.ndarray)
+
+
 @pytest.mark.parametrize("spec", ["logistic", "cone:1,1"])
 class TestExtremeArguments:
     """The sigmoid and softplus kernels neither overflow nor lose accuracy."""
@@ -187,8 +210,48 @@ class TestConjugate:
         g = np.concatenate([edges, 10.0 ** rng.uniform(-320, 305, 1000), rng.uniform(0, 3, 990)])
         got = loss.conjugate(g)
         want = np.array([per_element_cone_conjugate(loss, gi) for gi in g])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert loss.conjugate(0.7) == per_element_cone_conjugate(loss, 0.7)
+        # the Newton kernel and bisection stop at different points of the
+        # root's last-ulp neighbourhood, except where neither iterates: outside
+        # the domain, at g = 0 and g = inf, and past the exp clamp, where both
+        # return the bracket end
+        exact = ~np.isfinite(want) | (g == 0) | (g > loss.subgradient(EXP_CLAMP + 20.0))
+        assert np.array_equal(got[exact].view(np.uint64), want[exact].view(np.uint64))
+        got, want = got[~exact], want[~exact]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+        one = loss.conjugate(0.7)
+        assert type(one) is float
+        assert one == pytest.approx(per_element_cone_conjugate(loss, 0.7), rel=1e-13, abs=1e-13)
+
+    def test_cone_needs_few_derivative_passes(self, monkeypatch):
+        # the certificate's scale search on a certify-shaped problem: each
+        # conjugate call evaluates phi' and phi'' at the two bracket ends and
+        # confirms the closed-form start, where bisection makes ~53 passes
+        loss = parse_loss("cone:1,1")
+        x, y, _ = planted_problem(48, 6, 0.5, np.random.default_rng(1))
+        fm = FeatureMatrix(x, y)
+        cert = compute_hardcore(fm)
+        lam = coordinate_descent(fm, loss, OptimizerConfig(max_iters=300)).lam
+        derivatives, conjugate = Loss.derivatives, Loss.conjugate
+        passes, inside = [], []
+
+        def counted_derivatives(self, z):
+            if inside:
+                passes[-1] += 1
+            return derivatives(self, z)
+
+        def counted_conjugate(self, g):
+            passes.append(0)
+            inside.append(True)
+            try:
+                return conjugate(self, g)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
+        monkeypatch.setattr(Loss, "conjugate", counted_conjugate)
+        assert suboptimality_certificate(fm, loss, lam, cert) >= -1e-9
+        assert len(passes) > 40
+        assert max(passes) <= 10
 
     @pytest.mark.parametrize("loss", ALL_KINDS + [Loss("cone", c1=0.0, c2=2.0)], ids=str)
     def test_shape_is_kept(self, loss):
