@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import FeatureMatrix
-from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
+from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve, solve_each
 from .risk import region_to_mask
 
 # One order of magnitude above the LP feasibility tolerance: the core's LP
 # threshold and the bound on decorrelation and abstention residuals.
 CORE_TOL = 1e-7
 MARGIN_FLOOR = 1e-9  # margins above it are positive, within it zero
+# per-point LPs handed to one solve_each call; bounds its m-wide arrays
+POINTS_PER_BATCH = 128
 
 
 class HardCoreInconsistencyError(RuntimeError):
@@ -47,23 +49,31 @@ def compute_hardcore(fm: FeatureMatrix) -> HardCoreCertificate:
     positive exactly on the core (the finite-sample analogue of closure under
     countable unions).  Zero-mass points are excluded by convention.  The m
     LPs share one program, so one cold-started HiGHS model holds the system
-    and each point only sets its objective.
+    and each point only sets its objective; `solve_each` runs them in
+    batches of POINTS_PER_BATCH.  Its A has each row scaled by a
+    power of two to max-abs in [1/2, 1).  The scaling is exact, so the null
+    space is A's; HiGHS's absolute tolerances then act relative to each
+    row, and features times 2^-k give bitwise the same p and point optima.
+    The separator and the certificate checks use A unscaled.
     """
     a = fm.correlations
     m = fm.m
+    # frexp gives a zero row the exponent 0, which leaves it as it is
+    _, row_exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))
+    a_rows = np.ldexp(a, -row_exp[:, None])
     zero_mass = fm.weights == 0.0
     upper = np.where(zero_mass, 0.0, 1.0)
-    base = LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=upper)
+    base = LinearProgram(np.zeros(m), a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper)
     optima = np.empty(m)
     p = np.zeros(m)
-    for j in range(m):
-        c = np.zeros(m)
-        c[j] = 1.0
-        sol = solve(base, c)
-        if sol.status != STATUS_OPTIMAL:
-            raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
-        optima[j] = sol.value
-        p += sol.x  # summed in point order, one m-vector at a time
+    for start in range(0, m, POINTS_PER_BATCH):
+        points = range(start, min(start + POINTS_PER_BATCH, m))
+        # np.eye(k, m, start) holds the unit objectives of points start .. start + k - 1
+        for j, sol in zip(points, solve_each(base, np.eye(len(points), m, start))):
+            if sol.status != STATUS_OPTIMAL:
+                raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
+            optima[j] = sol.value
+            p += sol.x  # summed in point order, one m-vector at a time
     core_mask = optima > CORE_TOL
     if p.max(initial=0.0) > 0:
         p = p / p.max()

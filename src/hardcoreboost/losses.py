@@ -163,9 +163,10 @@ class Loss:
         no closed form: its maximizer solves phi'(z) = g.  With u = e^z the
         unclamped equation c1 u / (1 + u) + c2 u = g is the quadratic
         c2 u^2 + (c1 + c2 - g) u - g = 0, whose positive root starts one
-        elementwise bisect_root call on every positive entry at once; its
-        Newton steps confirm that start from phi' and phi'' and handle the
-        exp clamp.
+        elementwise bisect_root call on every finite positive entry at once;
+        its Newton steps confirm that start from phi' and phi'' and handle
+        the exp clamp.  An entry whose g z* passes the largest double is
+        +inf.
         """
         ga = np.asarray(g, dtype=float)
         out = np.full(ga.shape, np.inf)
@@ -193,17 +194,25 @@ class Loss:
             # phi' = c1 sigmoid + c2 exp is increasing from 0 to infinity, so
             # for g > 0 the supremum of gz - phi(z) is attained where phi'(z) = g.
             out[ga == 0] = 0.0
-            pos = ga > 0
+            pos = (ga > 0) & (ga < np.inf)
             gp = ga[pos]
 
             def residual(z):
-                d1, d2 = self.derivatives(z)
+                # c2 e^z overflows to +inf past ln(DBL_MAX / c2), which is
+                # still the sign the search needs
+                with np.errstate(over="ignore"):
+                    d1, d2 = self.derivatives(z)
                 return d1 - gp, d2
 
             zstar = bisect_root(
                 residual, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0, _cone_start(self.c1, self.c2, gp)
             )
-            out[pos] = gp * zstar - self.value(zstar)
+            # where g z* passes the largest double, phi*(g) is +inf
+            with np.errstate(over="ignore"):
+                gz = gp * zstar
+            fin = np.isfinite(gz)
+            gz[fin] -= self.value(zstar[fin])
+            out[pos] = gz
         return _scalar_like(out, g)
 
 

@@ -24,9 +24,9 @@ from hardcoreboost.lp import (
 def linprog_solve(lp, objective=None):
     """`lp.solve` by one scipy `linprog(method="highs")` call per solve.
 
-    The solver drives HiGHS with the options linprog passes and starts every
-    solve cold, so the two must agree bit for bit: status, value, x and
-    iteration count.
+    The solver drives HiGHS with the options linprog passes when presolve is
+    off, and starts every solve cold, so the two must agree bit for bit:
+    status, value, x and iteration count.
     """
     c = lp.objective if objective is None else np.asarray(objective, dtype=float)
     res = linprog(
@@ -37,6 +37,7 @@ def linprog_solve(lp, objective=None):
         b_eq=lp.b_eq,
         bounds=list(zip(lp.lower, lp.upper)),
         method="highs",
+        options={"presolve": False},
     )
     if res.status == 0:
         x = np.asarray(res.x, dtype=float)
@@ -47,6 +48,11 @@ def linprog_solve(lp, objective=None):
     if res.status == 3:
         return LpSolution(STATUS_UNBOUNDED, float("inf"), None, int(res.nit))
     raise LpError(f"LP backend failed: {res.message}")
+
+
+def linprog_solve_each(lp, objectives):
+    """`lp.solve_each` by one `linprog_solve` call per objective."""
+    return [linprog_solve(lp, c) for c in objectives]
 
 
 def assert_same_solution(got, want):

@@ -3,12 +3,14 @@ import pytest
 from conftest import (
     decorrelation_support_oracle,
     linprog_solve,
+    linprog_solve_each,
     planted_problem,
     random_sign_problem,
 )
 
 from hardcoreboost import (
     FeatureMatrix,
+    HardCoreInconsistencyError,
     OptimizerConfig,
     bounded_representation,
     compute_hardcore,
@@ -78,16 +80,16 @@ class TestComputeHardcore:
         "scale, core_frac",
         [
             pytest.param(scale, frac, id=f"{scale:g}-{frac}")
-            for scale in (1.0, 1e-3, 1e-5)
+            for scale in (1.0, 1e-3, 1e-5, 1e-6, 1e-7)
             for frac in (0.0, 0.5)
         ]
         + [
-            # ROADMAP item 14: the tolerances are absolute, so at this scale
-            # every decorrelation residual is within them and every point
-            # joins the core
+            # ROADMAP items 14 and 16: the per-point LPs see row-scaled A and
+            # find the planted core, but the separator's margin falls under
+            # the absolute MARGIN_FLOOR
             pytest.param(1e-9, frac, id=f"1e-09-{frac}", marks=pytest.mark.xfail(
-                raises=AssertionError, strict=True,
-                reason="all 160 points in the core (item 14)"))
+                raises=HardCoreInconsistencyError, strict=True,
+                reason="separator margin under the absolute floor (items 14, 16)"))
             for frac in (0.0, 0.5)
         ],
     )
@@ -96,6 +98,24 @@ class TestComputeHardcore:
         x, y, core = planted_problem(160, 8, core_frac, np.random.default_rng(7))
         cert = compute_hardcore(FeatureMatrix(scale * x, y))
         assert np.array_equal(cert.core, core)
+
+    @pytest.mark.parametrize("k", [1, 10, 20])
+    def test_power_of_two_feature_scale_is_exact(self, k):
+        # the per-point LPs see A with each row scaled by a power of two, so
+        # features times 2^-k give them bitwise the same program
+        fms = [
+            FeatureMatrix(x, y)
+            for x, y, _ in (
+                planted_problem(160, 8, frac, np.random.default_rng(7)) for frac in (0.0, 0.5)
+            )
+        ]
+        rng = np.random.default_rng(9)
+        fms += [random_sign_problem(rng) for _ in range(10)]
+        for fm in fms:
+            base = compute_hardcore(fm)
+            scaled = compute_hardcore(FeatureMatrix(2.0**-k * fm.features, fm.labels))
+            for name in ("core", "p", "point_optima"):
+                assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), name
 
     def test_duplication_invariance_of_core(self):
         fm = three_point_fm()
@@ -178,6 +198,7 @@ class TestLinprogOracle:
         cert = compute_hardcore(fm)
         with monkeypatch.context() as patch:
             patch.setattr(hardcore, "solve", linprog_solve)
+            patch.setattr(hardcore, "solve_each", linprog_solve_each)
             want = compute_hardcore(fm)
         for name in ("core", "p", "point_optima", "separator"):
             got, ref = getattr(cert, name), getattr(want, name)

@@ -260,6 +260,23 @@ class TestConjugate:
         assert out.shape == g.shape
         assert np.array_equal(out, loss.conjugate(g.ravel()).reshape(g.shape))
 
+    def test_cone_with_large_exp_weight(self):
+        # c2 e^700 overflows at the bracket's upper end, where only its sign
+        # matters; the root lies far below it
+        loss = Loss("cone", c1=1.0, c2=1e5)
+        got = loss.conjugate(np.array([0.5, 1e300]))
+        with np.errstate(over="ignore"):  # the oracle's own bracket end
+            want = [per_element_cone_conjugate(loss, g) for g in (0.5, 1e300)]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert loss.conjugate(math.inf) == math.inf
+
+    def test_cone_past_the_largest_product(self):
+        # g z* past the largest double: the conjugate is +inf, not an overflow
+        loss = Loss("cone", c1=1.0, c2=1.0)
+        assert loss.conjugate(1e306) == math.inf
+        out = loss.conjugate(np.array([1e305, 1e306, 1.7e308]))
+        assert np.isfinite(out[0]) and np.all(out[1:] == math.inf)
+
     @pytest.mark.parametrize("loss", ALL_KINDS, ids=str)
     def test_infinite_argument_infinite(self, loss):
         assert loss.conjugate(math.inf) == math.inf

@@ -524,15 +524,22 @@ class TestSuboptimalityCertificate:
         assert abs(gap) <= 1e-9
 
     def test_three_point_after_descent(self):
-        # the certificate's p is fixed up to scale, so the reported gap
-        # converges to the primal optimum minus the best scaled dual value,
-        # which is strictly positive here: grid oracles over lambda and the
-        # scale give 0.8702395 - 0.8334785 = 0.0367611
+        # the decorrelating cone 0.5 p0 - 0.5 p1 + p2 = 0 is two-dimensional,
+        # so the gap depends on which p the hard core returns; for that p the
+        # reported gap converges to the primal optimum minus the best dual
+        # value over rescalings of p, both taken here from grid oracles
         fm = FeatureMatrix(np.array([[0.5], [0.5], [1.0]]), np.array([1.0, -1.0, 1.0]))
+        loss = Loss("exp")
         cert = compute_hardcore(fm)
-        run = coordinate_descent(fm, Loss("exp"), OptimizerConfig(max_iters=200))
-        gap = suboptimality_certificate(fm, Loss("exp"), run.lam, cert)
-        assert gap == pytest.approx(0.0367611, abs=1e-5)
+        run = coordinate_descent(fm, loss, OptimizerConfig(max_iters=200))
+        gap = suboptimality_certificate(fm, loss, run.lam, cert)
+        w = fm.weights[:, None]
+        lams = np.linspace(-6.0, 6.0, 120001)
+        primal = (w * loss.value(-fm.correlations.T * lams)).sum(axis=0).min()
+        unit = cert.p / fm.weights
+        qs = np.linspace(0.0, 8.0, 80001)[None, :] * (unit / unit.max())[:, None]
+        dual = (-w * loss.conjugate(qs)).sum(axis=0).max()
+        assert gap == pytest.approx(primal - dual, abs=1e-5)
 
     def test_nonnegative_up_to_tolerance(self):
         rng = np.random.default_rng(3)
