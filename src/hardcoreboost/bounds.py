@@ -137,6 +137,8 @@ def full_risk_bound(inputs: BoundInputs, loss: Loss, approx_error: float = 0.0) 
     if not approx_error >= 0:  # NaN included
         raise ValueError("approx_error must be nonnegative")
     dp = inputs.delta / 8.0
+    if dp == 0:  # a subnormal delta: ln(1 / delta') would divide by zero
+        raise ValueError(f"delta = {inputs.delta!r} is too small: delta / 8 underflows to 0")
     mu_c = inputs.mu_core
     mu_cc = 1.0 - mu_c
 

@@ -4,12 +4,17 @@ Losses are written as nondecreasing functions of z = -(margin); the built-in
 family is exponential exp(z), logistic ln(1 + exp(z)), hinge max(0, 1 + z),
 and nonnegative conic combinations of logistic and exponential.  Each loss is
 convex, positive at the origin, and vanishes as z -> -infinity.
+
+Each base loss is one _Kernels record (_EXP, _LOGISTIC, _HINGE), where its
+per-kind formulas go.  The cone c1 logistic + c2 exp is composed from the
+logistic and exp kernels; its exp argument is clamped at
+min(EXP_CLAMP, ln(DBL_MAX / c2) - 1), which raises the saturation flag.
 """
 
-from __future__ import annotations
-
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -23,26 +28,108 @@ EXP_CLAMP = 700.0
 # conditional risk is convex in the prediction.
 PREDICTION_BRACKET = 60.0
 
-KINDS = ("exp", "logistic", "hinge", "cone")
-
 
 class UnsupportedLossError(ValueError):
     """Raised when an operation does not support the given loss kind."""
 
 
-def _exp_clamped(z):
-    z = np.asarray(z, dtype=float)
-    saturated = bool(np.any(z > EXP_CLAMP))
-    return np.exp(np.minimum(z, EXP_CLAMP)), saturated
+class _Kernels(NamedTuple):
+    """One loss's kernels on float arrays; a cone's come from _cone."""
+
+    phi: Callable  # z -> (phi(z), whether the exp clamp engaged)
+    d1: Callable  # z -> phi'(z), the flat-side element at a kink
+    d1_max: Callable  # z -> the largest element of the subdifferential
+    d12: Callable  # z -> (phi'(z), phi''(z)) from one pass
+    conj: Callable  # a base phi* on [0, sup]; the loss's phi*(g) is w conj(g / w)
+    sup: float  # sup of that base phi'
+    w: float = 1.0
+
+
+def _exp(z, clamp=EXP_CLAMP):  # exp's phi, phi' and phi''
+    return np.exp(np.minimum(z, clamp))
+
+
+def _exp_phi(z, clamp=EXP_CLAMP):
+    return _exp(z, clamp), bool(np.any(z > clamp))
+
+
+def _logistic_d12(z):
+    s = expit(z)
+    return s, s * (1.0 - s)
+
+
+def _hinge_d12(z):
+    raise UnsupportedLossError("hinge has no second derivative")
+
+
+_quiet = np.errstate(divide="ignore", invalid="ignore")  # 0 ln 0 = 0 in the conjugates
+_EXP = _Kernels(
+    _exp_phi, _exp, _exp, lambda z: (_exp(z),) * 2,
+    _quiet(lambda g: np.where(g > 0, g * np.log(g) - g, 0.0)), math.inf,
+)
+_LOGISTIC = _Kernels(
+    lambda z: (np.logaddexp(0.0, z), False), expit, expit, _logistic_d12,
+    _quiet(lambda g: np.where(g > 0, g * np.log(g), 0.0)
+           + np.where(g < 1, (1.0 - g) * np.log1p(-g), 0.0)), 1.0,
+)
+_HINGE = _Kernels(
+    lambda z: (np.maximum(0.0, 1.0 + z), False), lambda z: np.where(z > -1.0, 1.0, 0.0),
+    lambda z: np.where(z < -1.0, 0.0, 1.0), _hinge_d12, lambda g: -g, 1.0,
+)
+_BASE = {"exp": _EXP, "logistic": _LOGISTIC, "hinge": _HINGE}
+
+
+def _cone(loss) -> _Kernels:
+    """c1 logistic + c2 exp from the logistic and exp kernels.
+
+    A one-sided cone's conjugate is its base's, weighted; the two-sided one's
+    maximizers solve phi'(z) = g, all by one bisect_root call via loss.derivatives."""
+    c1, c2 = loss.c1, loss.c2
+    clamp = min(EXP_CLAMP, math.log(sys.float_info.max / c2) - 1.0) if c2 > 0 else EXP_CLAMP
+
+    def phi(z):
+        e, sat = _exp_phi(z, clamp)
+        return c1 * _LOGISTIC.phi(z)[0] + c2 * e, sat
+
+    def d1(z):
+        return c1 * _LOGISTIC.d1(z) + c2 * _exp(z, clamp)
+
+    def d12(z):
+        s, s2 = _LOGISTIC.d12(z)
+        e = _exp(z, clamp)
+        return c1 * s + c2 * e, c1 * s2 + c2 * e
+
+    def conj(g):  # finite g >= 0
+        out = np.zeros(g.shape)
+        gp = g[g > 0]
+
+        def residual(z):
+            # phi' overflows only for c1 near the largest double; +inf has the right sign
+            with np.errstate(over="ignore"):
+                f, fp = loss.derivatives(z)
+            return f - gp, fp
+
+        z = bisect_root(residual, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0, _cone_start(c1, c2, gp))
+        with np.errstate(over="ignore"):  # where g z* passes the largest double, phi* is +inf
+            gz = gp * z
+        fin = np.isfinite(gz)
+        gz[fin] -= loss.value(z[fin])
+        out[g > 0] = gz
+        return out
+
+    if c2 == 0:
+        return _Kernels(phi, d1, d1, d12, _LOGISTIC.conj, _LOGISTIC.sup, c1)
+    if c1 == 0:
+        return _Kernels(phi, d1, d1, d12, _EXP.conj, _EXP.sup, c2)
+    return _Kernels(phi, d1, d1, d12, conj, math.inf)
 
 
 def _cone_start(c1, c2, g):
     """ln u for the positive root u of c2 u^2 + b u - g = 0, b = c1 + c2 - g.
 
-    Each branch takes the form without cancellation: with h = sqrt(b^2 + 4 c2 g)
-    from hypot and s = (|b| + h) / 2, u = g / s for b > 0, else s / c2.  The
-    logarithm of the quotient keeps every g from subnormal up to the largest
-    double finite and free of overflow; g = +inf gives +inf.
+    With h = sqrt(b^2 + 4 c2 g) from hypot and s = (|b| + h) / 2, u = g / s
+    for b > 0, else s / c2, each free of cancellation; the log of the quotient
+    is finite for every g from subnormal up to the largest double.
     """
     b = (c1 + c2) - g
     s = 0.5 * np.abs(b) + 0.5 * np.hypot(b, 2.0 * math.sqrt(c2) * np.sqrt(g))
@@ -73,12 +160,18 @@ class Loss:
     c2: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind == "cone":
+            if not (0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf and self.c1 + self.c2 > 0):
+                raise UnsupportedLossError("cone requires finite c1, c2 >= 0 and c1 + c2 > 0")
+            kernels = _cone(self)
+        elif self.kind in _BASE:
+            kernels = _BASE[self.kind]
+        else:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "cone" and not (
-            0 <= self.c1 < math.inf and 0 <= self.c2 < math.inf and self.c1 + self.c2 > 0
-        ):
-            raise UnsupportedLossError("cone requires finite c1, c2 >= 0 and c1 + c2 > 0")
+        object.__setattr__(self, "_k", kernels)
+
+    def __reduce__(self):  # a copy rebuilds its kernels
+        return Loss, (self.kind, self.c1, self.c2)
 
     @property
     def value_at_origin(self) -> float:
@@ -87,132 +180,41 @@ class Loss:
     @property
     def conjugate_domain_end(self) -> float:
         """sup phi' (phi*'s domain end): 1 for logistic/hinge, c1 for exp-free cone, else inf."""
-        if self.kind in ("logistic", "hinge"):
-            return 1.0
-        return float(self.c1) if self.kind == "cone" and self.c2 == 0 else math.inf
+        return float(self._k.w * self._k.sup)
 
     def value(self, z):
         """phi(z); accepts scalars or arrays, exp terms clamped at EXP_CLAMP."""
-        v, _ = self.value_saturated(z)
-        return v
+        return self.value_saturated(z)[0]
 
     def value_saturated(self, z):
         """phi(z) plus a flag marking whether the exp clamp engaged."""
-        za = np.asarray(z, dtype=float)
-        if self.kind == "exp":
-            v, sat = _exp_clamped(za)
-        elif self.kind == "logistic":
-            v, sat = np.logaddexp(0.0, za), False
-        elif self.kind == "hinge":
-            v, sat = np.maximum(0.0, 1.0 + za), False
-        else:
-            e, sat = _exp_clamped(za)
-            v = self.c1 * np.logaddexp(0.0, za) + self.c2 * e
+        v, sat = self._k.phi(np.asarray(z, dtype=float))
         return _scalar_like(v, z), sat
 
     def subgradient(self, z):
-        """An element of the subdifferential at z.
-
-        The hinge kink at z = -1 returns the flat-side element 0.
-        """
-        za = np.asarray(z, dtype=float)
-        if self.kind == "exp":
-            g = np.exp(np.minimum(za, EXP_CLAMP))
-        elif self.kind == "logistic":
-            g = expit(za)
-        elif self.kind == "hinge":
-            g = np.where(za > -1.0, 1.0, 0.0)
-        else:
-            g = self.c1 * expit(za) + self.c2 * np.exp(np.minimum(za, EXP_CLAMP))
-        return _scalar_like(g, z)
+        """An element of the subdifferential at z; at the hinge kink z = -1, 0."""
+        return _scalar_like(self._k.d1(np.asarray(z, dtype=float)), z)
 
     def derivatives(self, z):
-        """(phi'(z), phi''(z)) from one exp or sigmoid pass; hinge has no phi''.
-
-        phi' is bit-identical to subgradient(z).  phi'' is exp(z) for exp,
-        s (1 - s) with s = sigmoid(z) for logistic, and c1 s (1 - s) + c2 exp(z)
-        for the cone; exp terms are clamped at EXP_CLAMP as in subgradient.
-        """
-        if self.kind == "hinge":
-            raise UnsupportedLossError("hinge has no second derivative")
-        za = np.asarray(z, dtype=float)
-        if self.kind == "exp":
-            d1 = d2 = np.exp(np.minimum(za, EXP_CLAMP))
-        elif self.kind == "logistic":
-            d1 = expit(za)
-            d2 = d1 * (1.0 - d1)
-        else:
-            s = expit(za)
-            e = np.exp(np.minimum(za, EXP_CLAMP))
-            d1 = self.c1 * s + self.c2 * e
-            d2 = self.c1 * (s * (1.0 - s)) + self.c2 * e
+        """(phi'(z), phi''(z)) from one pass, phi' as subgradient(z); hinge has no phi''."""
+        d1, d2 = self._k.d12(np.asarray(z, dtype=float))
         return _scalar_like(d1, z), _scalar_like(d2, z)
 
     def max_subgradient(self, z) -> float:
         """sup{|g| : g in the subdifferential at z}; the local Lipschitz constant."""
-        z = float(z)
-        if self.kind == "hinge":
-            return 0.0 if z < -1.0 else 1.0
-        return float(self.subgradient(z))
+        return float(self._k.d1_max(np.asarray(float(z))))
 
     def conjugate(self, g):
         """Fenchel conjugate phi*(g) = sup_z gz - phi(z), extended-real valued.
 
-        Accepts a scalar or an array of any shape and returns the same shape;
-        g = +inf and g outside the domain give +inf.  The two-sided cone has
-        no closed form: its maximizer solves phi'(z) = g.  With u = e^z the
-        unclamped equation c1 u / (1 + u) + c2 u = g is the quadratic
-        c2 u^2 + (c1 + c2 - g) u - g = 0, whose positive root starts one
-        elementwise bisect_root call on every finite positive entry at once;
-        its Newton steps confirm that start from phi' and phi'' and handle
-        the exp clamp.  An entry whose g z* passes the largest double is
-        +inf.
-        """
+        Keeps g's shape: w phi*(g / w) for the kernels' base phi* and weight w
+        on [0, w sup phi'], +inf elsewhere and at g = +inf."""
+        k = self._k
         ga = np.asarray(g, dtype=float)
+        gw = ga / k.w
         out = np.full(ga.shape, np.inf)
-        if self.kind == "exp":
-            dom = (ga >= 0) & (ga < np.inf)
-            gd = ga[dom]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[dom] = np.where(gd > 0, gd * np.log(gd) - gd, 0.0)
-        elif self.kind == "logistic":
-            dom = (ga >= 0) & (ga <= 1)
-            gd = ga[dom]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ent = np.where(gd > 0, gd * np.log(gd), 0.0) + np.where(
-                    gd < 1, (1.0 - gd) * np.log1p(-gd), 0.0
-                )
-            out[dom] = ent
-        elif self.kind == "hinge":
-            dom = (ga >= 0) & (ga <= 1)
-            out[dom] = -ga[dom]
-        elif self.c1 == 0:
-            return self.c2 * Loss("exp").conjugate(ga / self.c2)
-        elif self.c2 == 0:
-            return self.c1 * Loss("logistic").conjugate(ga / self.c1)
-        else:
-            # phi' = c1 sigmoid + c2 exp is increasing from 0 to infinity, so
-            # for g > 0 the supremum of gz - phi(z) is attained where phi'(z) = g.
-            out[ga == 0] = 0.0
-            pos = (ga > 0) & (ga < np.inf)
-            gp = ga[pos]
-
-            def residual(z):
-                # c2 e^z overflows to +inf past ln(DBL_MAX / c2), which is
-                # still the sign the search needs
-                with np.errstate(over="ignore"):
-                    d1, d2 = self.derivatives(z)
-                return d1 - gp, d2
-
-            zstar = bisect_root(
-                residual, -EXP_CLAMP - 100.0, EXP_CLAMP + 20.0, _cone_start(self.c1, self.c2, gp)
-            )
-            # where g z* passes the largest double, phi*(g) is +inf
-            with np.errstate(over="ignore"):
-                gz = gp * zstar
-            fin = np.isfinite(gz)
-            gz[fin] -= self.value(zstar[fin])
-            out[pos] = gz
+        dom = (gw >= 0) & (gw <= k.sup) & (gw < np.inf)
+        out[dom] = k.w * k.conj(gw[dom])
         return _scalar_like(out, g)
 
 
@@ -229,23 +231,21 @@ def parse_loss(spec: str) -> Loss:
     raise UnsupportedLossError(f"unknown loss spec {spec!r}")
 
 
-def psi_inverse_bound(loss: Loss, r: float) -> float:
-    """Closed-form upper bound on psi^{-1}(r).
+_PSI_INVERSE = {
+    "exp": lambda loss, r: 2.0 * math.sqrt(r),
+    "logistic": lambda loss, r: 4.0 * math.sqrt(r),
+    "hinge": lambda loss, r: float(r),
+    "cone": lambda loss, r: 4.0 * math.sqrt(r / (loss.c1 + loss.c2)),
+}
 
-    exp: 2 sqrt(r); logistic: 4 sqrt(r); hinge: r.  The cone value
-    4 sqrt(r / (c1 + c2)) is a conservative heuristic, not a proved bound.
-    """
+
+def psi_inverse_bound(loss: Loss, r: float) -> float:
+    """Closed-form upper bound on psi^{-1}(r), one per kind in _PSI_INVERSE.
+
+    The cone value is a conservative heuristic, not a proved bound."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if loss.kind == "exp":
-        return 2.0 * math.sqrt(r)
-    if loss.kind == "logistic":
-        return 4.0 * math.sqrt(r)
-    if loss.kind == "hinge":
-        return float(r)
-    if loss.kind == "cone":
-        return 4.0 * math.sqrt(r / (loss.c1 + loss.c2))
-    raise UnsupportedLossError(f"no psi-inverse bound for {loss.kind!r}")
+    return _PSI_INVERSE[loss.kind](loss, r)
 
 
 def _min_conditional_risk(loss: Loss, w_pos, w_neg, tol: float = 1e-10) -> float:

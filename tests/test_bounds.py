@@ -131,6 +131,16 @@ class TestCoreClassificationBound:
 
 
 class TestFullRiskBound:
+    @pytest.mark.parametrize("delta", [5e-324, 1e-323, 2e-323])
+    def test_delta_whose_eighth_underflows_rejected(self, delta):
+        # delta' = delta / 8 is 0, and ln(4 / delta') would divide by zero
+        with pytest.raises(ValueError, match="delta"):
+            full_risk_bound(BoundInputs(m=1000, n=2, delta=delta), Loss("exp"))
+
+    def test_tiny_normal_delta_is_a_bound(self):
+        report = full_risk_bound(BoundInputs(m=1000, n=2, delta=1e-300), Loss("exp"))
+        assert report.delta_prime == 1e-300 / 8.0 and math.isfinite(report.total)
+
     def test_worked_example(self):
         inputs = BoundInputs(m=10**6, n=8, delta=0.08, mu_core=0.5, c=2.0)
         report = full_risk_bound(inputs, Loss("hinge"))

@@ -1,7 +1,13 @@
+import io
 import json
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardcoreboost import experiments
 from hardcoreboost.cli import run
@@ -357,3 +363,69 @@ class TestImpossibilityCommand:
         assert [r["saturated"] for r in report["rows"]] == [False, False, True]
         # both keys carry the one misclassified world mass
         assert report["misclassified_mass"] == report["classification_risk"] > 0
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _assert_cli_contract(argv):
+    """Exit 0 with JSON on stdout and nothing on stderr, or exit 1 with one
+    {"error", "message"} line on stderr and nothing on stdout; no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    # every drawn value passes argparse's own checks, so exit 2 is a violation
+    assert code in (0, 1), (code, err)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=_not_json)
+    else:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert set(json.loads(err, parse_constant=_not_json)) == {"error", "message"}
+
+
+# --flag=value keeps argparse from reading a negative value such as -inf as a flag
+_INTS = st.one_of(
+    st.integers(-2, 3), st.integers(4, 10**7), st.sampled_from([10**400, -(10**400)])
+)
+_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, 1e-300, 1e300, 0.0, -0.0, 0.5]),
+    st.floats(),
+).map(repr)
+_LOSS_SPECS = st.sampled_from([
+    "exp", "logistic", "hinge", "cone:1,1", "cone:0.3,2.5", "cone:0.5,0", "cone:0,2",
+    "cone:1,1e5", "cone:1,1e300",
+    "square", "", "cone:1", "cone:-1,2", "cone:0,0", "cone:nan,1", "cone:1,inf",
+])
+
+
+@st.composite
+def _bounds_argv(draw):
+    argv = ["bounds", f"--m={draw(_INTS)}", f"--n={draw(_INTS)}",
+            f"--delta={draw(_FLOATS)}", f"--loss={draw(_LOSS_SPECS)}", "--no-timestamp"]
+    for flag in ("--epsilon", "--mu-core", "--c", "--b", "--approx-error"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(_FLOATS)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bounds_argv())
+@example(["bounds", "--m=1000", "--n=2", "--delta=0.1", "--loss=cone:1,1e5", "--b=800",
+          "--no-timestamp"])
+@example(["bounds", "--m=1000", "--n=2", "--delta=5e-324", "--loss=exp", "--no-timestamp"])
+def test_bounds_keeps_the_cli_contract(argv):
+    _assert_cli_contract(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=3), _LOSS_SPECS)
+def test_impossibility_keeps_the_cli_contract(scales, loss):
+    _assert_cli_contract(["impossibility", "--depth=3", "--m=20", f"--scales={','.join(scales)}",
+                          f"--loss={loss}", "--seed=0", "--no-timestamp"])
