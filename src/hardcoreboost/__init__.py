@@ -51,7 +51,7 @@ from .hypotheses import (
     parse_class_spec,
 )
 from .losses import Loss, UnsupportedLossError, parse_loss, psi_inverse_bound, psi_numeric
-from .lp import LinearProgram, LpError, LpSolution, solve, solve_each
+from .lp import LinearProgram, LpError, LpSolution, solve
 from .optimize import (
     OptimizerConfig,
     OptRun,

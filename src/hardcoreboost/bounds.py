@@ -100,7 +100,12 @@ def vc_unbounded_bound(
 def core_surrogate_bound(
     c: float, n: int, delta_prime: float, epsilon: float, m_core: float
 ) -> BoundValue:
-    """Excess surrogate risk over the core; flagged invalid when m_core is too small."""
+    """Excess surrogate risk over the core; flagged invalid when m_core is too small.
+
+    An m_core that is not positive and finite is an error.
+    """
+    if not 0.0 < m_core < math.inf:  # NaN included
+        raise ValueError("m_core must be positive and finite")
     valid = m_core >= c * c * (math.log(n) + math.log(6.0 / delta_prime))
     value = epsilon + c * (
         math.sqrt(math.log(n)) + 4.0 * math.sqrt(math.log(2.0 / delta_prime))

@@ -128,8 +128,11 @@ def impossibility_report(
     null_finding = retries > max_retries
     rows = []
     for c in scales:
-        risk_hat, sat_hat = surrogate_risk_saturated(fm, float(c) * lam_hat, loss)
-        risk_sep, sat_sep = surrogate_risk_saturated(fm, float(c) * STAGGERED_SEPARATOR, loss)
+        # near the largest double a margin overflows to +-inf, which the loss
+        # kernels take as they take any argument past the exp clamp
+        with np.errstate(over="ignore"):
+            risk_hat, sat_hat = surrogate_risk_saturated(fm, float(c) * lam_hat, loss)
+            risk_sep, sat_sep = surrogate_risk_saturated(fm, float(c) * STAGGERED_SEPARATOR, loss)
         rows.append(ImpossibilityRow(float(c), risk_hat, risk_sep, sat_hat or sat_sep))
     return ImpossibilityReport(
         depth=depth,

@@ -14,15 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import FeatureMatrix
-from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve, solve_each
+from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
 from .risk import region_to_mask
 
 # One order of magnitude above the LP feasibility tolerance: the core's LP
 # threshold and the bound on decorrelation and abstention residuals.
 CORE_TOL = 1e-7
 MARGIN_FLOOR = 1e-9  # margins above it are positive, within it zero
-# per-point LPs handed to one solve_each call; bounds its m-wide arrays
-POINTS_PER_BATCH = 128
 
 
 class HardCoreInconsistencyError(RuntimeError):
@@ -35,7 +33,7 @@ class HardCoreCertificate:
     p: np.ndarray  # decorrelating weights, max entry 1, positive exactly on core
     separator: np.ndarray  # weighting with |lam|_1 <= 1
     margin: float  # separator margin floor on the complement; +inf if empty
-    point_optima: np.ndarray  # per-point LP optima (diagnostics)
+    point_optima: np.ndarray  # the core LP's t: 1 on the core, 0 off it (diagnostics)
 
     def core_mask(self, m: int) -> np.ndarray:
         return region_to_mask(self.core, m)
@@ -44,46 +42,51 @@ class HardCoreCertificate:
 def compute_hardcore(fm: FeatureMatrix) -> HardCoreCertificate:
     """Compute and verify the hard core of the sampled problem.
 
-    Per sample point j, the LP max p_j over {p in [0,1]^m : A p = 0} decides
-    membership; the sum of the per-point optimizers is a single reweighting
-    positive exactly on the core (the finite-sample analogue of closure under
-    countable unions).  Zero-mass points are excluded by convention.  The m
-    LPs share one program, so one cold-started HiGHS model holds the system
-    and each point only sets its objective; `solve_each` runs them in
-    batches of POINTS_PER_BATCH.  Its A has each row scaled by a
-    power of two to max-abs in [1/2, 1).  The scaling is exact, so the null
-    space is A's; HiGHS's absolute tolerances then act relative to each
-    row, and features times 2^-k give bitwise the same p and point optima.
-    The separator and the certificate checks use A unscaled.
+    The decorrelating reweightings {p >= 0 : A p = 0} form a cone, closed
+    under addition and scaling, so one LP gives its maximal support (see
+    _core_lp); zero-mass points are excluded by convention.  The separator
+    and the certificate checks use A unscaled.
+    """
+    core_mask, t, p = _core_lp(fm)
+    core = np.flatnonzero(core_mask)
+    lam, margin = separator_certificate(fm, core)
+    cert = HardCoreCertificate(core, p, lam, margin, t)
+    _verify_certificate(fm, cert)
+    return cert
+
+
+def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(core mask, t, p) from the one hard-core LP.
+
+    Over the variables [t, s] with p = t + s, maximizes sum(t) subject to
+    A (t + s) = 0, 0 <= t <= 1 and s >= 0, with both bounds 0 on zero-mass
+    points.  Summing scaled witnesses gives a p >= 1 on the whole core, so
+    at every optimum t is the 0/1 indicator of the core; the core is
+    {j : t_j > CORE_TOL}, and p is t + s on it, divided by its max, and 0
+    off it.  A has each row scaled by a power of two to max-abs in
+    [1/2, 1).  The scaling is exact, so the null space is A's; HiGHS's
+    absolute tolerances then act relative to each row, and features times
+    2^-k give bitwise the same t and p.
     """
     a = fm.correlations
     m = fm.m
     # frexp gives a zero row the exponent 0, which leaves it as it is
     _, row_exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))
     a_rows = np.ldexp(a, -row_exp[:, None])
-    zero_mass = fm.weights == 0.0
-    upper = np.where(zero_mass, 0.0, 1.0)
-    base = LinearProgram(np.zeros(m), a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper)
-    optima = np.empty(m)
-    p = np.zeros(m)
-    for start in range(0, m, POINTS_PER_BATCH):
-        points = range(start, min(start + POINTS_PER_BATCH, m))
-        # np.eye(k, m, start) holds the unit objectives of points start .. start + k - 1
-        for j, sol in zip(points, solve_each(base, np.eye(len(points), m, start))):
-            if sol.status != STATUS_OPTIMAL:
-                raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
-            optima[j] = sol.value
-            p += sol.x  # summed in point order, one m-vector at a time
-    core_mask = optima > CORE_TOL
-    if p.max(initial=0.0) > 0:
+    live = fm.weights != 0.0
+    upper = np.concatenate((np.where(live, 1.0, 0.0), np.where(live, np.inf, 0.0)))
+    objective = np.concatenate((np.ones(m), np.zeros(m)))
+    lp = LinearProgram(objective, a_eq=np.hstack((a_rows, a_rows)),
+                       b_eq=np.zeros(a.shape[0]), upper=upper)
+    sol = solve(lp)
+    if sol.status != STATUS_OPTIMAL:
+        raise LpError(f"hard-core LP is {sol.status}")
+    t = sol.x[:m]
+    core_mask = t > CORE_TOL
+    p = np.where(core_mask, t + sol.x[m:], 0.0)
+    if core_mask.any():
         p = p / p.max()
-    p[~core_mask] = 0.0
-
-    core = np.flatnonzero(core_mask)
-    lam, t = separator_certificate(fm, core)
-    cert = HardCoreCertificate(core, p, lam, t, optima)
-    _verify_certificate(fm, cert)
-    return cert
+    return core_mask, t, p
 
 
 def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarray, float]:

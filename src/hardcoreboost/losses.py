@@ -89,7 +89,10 @@ def _cone(loss) -> _Kernels:
 
     def phi(z):
         e, sat = _exp_phi(z, clamp)
-        return c1 * _LOGISTIC.phi(z)[0] + c2 * e, sat
+        # softplus grows linearly, so c1 softplus passes the largest double only
+        # for c1 near it; the value is then +inf
+        with np.errstate(over="ignore"):
+            return c1 * _LOGISTIC.phi(z)[0] + c2 * e, sat
 
     def d1(z):
         return c1 * _LOGISTIC.d1(z) + c2 * _exp(z, clamp)

@@ -14,11 +14,7 @@ instance given the whole program, which is what scipy's
 call.  Presolve is off: on the hard core's small dense programs it took
 about four fifths of each solve.  HiGHS's feasibility tolerances are
 absolute, so a caller whose rows are small scales them first, as
-`compute_hardcore` does.  Programs that share a constraint system and
-differ only in the objective, such as the hard core's per-point LPs, are
-one program solved with several objectives; `solve_each` runs HiGHS on
-all of them back to back and checks the solutions afterwards, since numpy
-work between the runs made each run slower and its time less steady.
+`compute_hardcore` does.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ except ImportError as exc:  # missing from older scipy releases
     ) from exc
 
 FEASIBILITY_TOL = 1e-8
-MAX_VARIABLES = 10**4
+MAX_VARIABLES = 2 * 10**4
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -155,73 +151,43 @@ def solve(lp: LinearProgram, objective=None) -> LpSolution:
     failure.
     """
     c = lp.objective if objective is None else _objective(objective, lp.n_vars)
-    return _solve_rows(lp, c[None, :])[0]
-
-
-def solve_each(lp: LinearProgram, objectives) -> list[LpSolution]:
-    """[solve(lp, c) for c in objectives], bit for bit, one row per objective.
-
-    The HiGHS runs follow one another under one lock with no other work
-    between them, and the solutions are checked together afterwards.
-    """
-    cs = np.asarray(objectives, dtype=float)
-    if cs.ndim != 2 or cs.shape[1] != lp.n_vars:
-        raise ValueError("objectives must be a matrix with one column per variable")
-    if not np.isfinite(cs).all():
-        raise ValueError("objective must be finite")
-    return _solve_rows(lp, cs)
-
-
-def _solve_rows(lp: LinearProgram, cs: np.ndarray) -> list[LpSolution]:
-    k, nv = cs.shape
     highs, lock = lp._model
     # HiGHS rejecting the model or the costs is a kModelError, which scipy's
     # front end reports as infeasible
-    statuses = [_highs.HighsModelStatus.kModelError] * k
-    iterations = [0] * k
-    xs = np.zeros((k, nv))
+    status = _highs.HighsModelStatus.kModelError
+    iterations = 0
+    x = None
     if highs is not None:
-        columns = np.arange(nv, dtype=np.int32)
-        costs = -cs
+        columns = np.arange(lp.n_vars, dtype=np.int32)
         with lock:
-            for i in range(k):
-                if highs.changeColsCost(nv, columns, costs[i]) == _highs.HighsStatus.kError:
-                    continue
+            if highs.changeColsCost(lp.n_vars, columns, -c) != _highs.HighsStatus.kError:
                 highs.clearSolver()
                 highs.run()
-                statuses[i] = highs.getModelStatus()
-                iterations[i] = int(highs.getInfo().simplex_iteration_count)
-                if statuses[i] == _highs.HighsModelStatus.kOptimal:
-                    xs[i] = highs.getSolution().col_value
-    optimal = [status == _highs.HighsModelStatus.kOptimal for status in statuses]
-    _check_feasible(lp, xs[optimal])
-    solutions = []
-    for c, x, status, its in zip(cs, xs, statuses, iterations):
-        if status == _highs.HighsModelStatus.kOptimal:
-            solutions.append(LpSolution(STATUS_OPTIMAL, float(c @ x), x, its))
-        elif status in (_highs.HighsModelStatus.kInfeasible,
-                        _highs.HighsModelStatus.kModelError):
-            solutions.append(LpSolution(STATUS_INFEASIBLE, float("nan"), None, its))
-        elif status == _highs.HighsModelStatus.kUnbounded:
-            solutions.append(LpSolution(STATUS_UNBOUNDED, float("inf"), None, its))
-        else:
-            raise LpError(f"LP backend failed: {highs.modelStatusToString(status)}")
-    return solutions
+                status = highs.getModelStatus()
+                iterations = int(highs.getInfo().simplex_iteration_count)
+                if status == _highs.HighsModelStatus.kOptimal:
+                    x = np.asarray(highs.getSolution().col_value, dtype=float)
+    if status == _highs.HighsModelStatus.kOptimal:
+        _check_feasible(lp, x)
+        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, iterations)
+    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
+        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, iterations)
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, iterations)
+    raise LpError(f"LP backend failed: {highs.modelStatusToString(status)}")
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL):
-    """Raise LpError unless x, or each row of a matrix x, satisfies the
-    program within tol times 1 + its max-abs entry."""
-    xs = np.atleast_2d(x)
-    scale = 1.0 + np.abs(xs).max(axis=1, initial=0.0)
+    """Raise LpError unless x satisfies the program within tol times 1 + its
+    max-abs entry."""
+    slack = tol * (1.0 + np.abs(x).max(initial=0.0))
     if lp.a_eq is not None:
-        resid = np.abs(xs @ lp.a_eq.T - lp.b_eq).max(axis=1, initial=0.0)
-        if np.any(resid > tol * scale):
-            raise LpError(f"equality residual {resid.max():g} exceeds tolerance")
+        resid = np.abs(lp.a_eq @ x - lp.b_eq).max(initial=0.0)
+        if resid > slack:
+            raise LpError(f"equality residual {resid:g} exceeds tolerance")
     if lp.a_ub is not None:
-        excess = (xs @ lp.a_ub.T - lp.b_ub).max(axis=1, initial=0.0)
-        if np.any(excess > tol * scale):
-            raise LpError(f"inequality excess {excess.max():g} exceeds tolerance")
-    slack = tol * scale[:, None]
-    if np.any(xs < lp.lower - slack) or np.any(xs > lp.upper + slack):
+        excess = (lp.a_ub @ x - lp.b_ub).max(initial=0.0)
+        if excess > slack:
+            raise LpError(f"inequality excess {excess:g} exceeds tolerance")
+    if np.any(x < lp.lower - slack) or np.any(x > lp.upper + slack):
         raise LpError("bound violation in reported solution")

@@ -11,13 +11,16 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linprog
 
+from hardcoreboost.hardcore import CORE_TOL
 from hardcoreboost.lp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
+    LinearProgram,
     LpError,
     LpSolution,
     _check_feasible,
+    solve,
 )
 
 
@@ -50,11 +53,6 @@ def linprog_solve(lp, objective=None):
     raise LpError(f"LP backend failed: {res.message}")
 
 
-def linprog_solve_each(lp, objectives):
-    """`lp.solve_each` by one `linprog_solve` call per objective."""
-    return [linprog_solve(lp, c) for c in objectives]
-
-
 def assert_same_solution(got, want):
     """Bitwise equality of two LpSolutions."""
     assert (got.status, got.iterations) == (want.status, want.iterations)
@@ -72,6 +70,41 @@ def planted_problem(m, n, core_frac, rng):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.planted_problem(m, n, core_frac, rng)
+
+
+def per_point_core(fm):
+    """The hard core's mask by one LP per sample point.
+
+    Point j's LP is max p_j over {p in [0,1]^m : A p = 0} with zero-mass
+    points fixed at 0, on A with each row scaled by a power of two to
+    max-abs in [1/2, 1); the point is in the core when its optimum exceeds
+    CORE_TOL.
+    """
+    a = fm.correlations
+    m = fm.m
+    _, row_exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))
+    a_rows = np.ldexp(a, -row_exp[:, None])
+    upper = np.where(fm.weights == 0.0, 0.0, 1.0)
+    base = LinearProgram(np.zeros(m), a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper)
+    optima = np.empty(m)
+    for j, c in enumerate(np.identity(m)):
+        sol = solve(base, c)
+        if sol.status != STATUS_OPTIMAL:
+            raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
+        optima[j] = sol.value
+    return optima > CORE_TOL
+
+
+def lattice_core(cells, labels):
+    """Hard core of a disjoint-support 0/1 class under uniform weights.
+
+    cells holds each point's cell, -1 for a point in none.  A reweighting
+    decorrelates from a cell's indicator when it puts equal mass on the
+    cell's two labels, so it vanishes on a cell that holds one label: the
+    core is the points in no cell plus the cells that hold both labels.
+    """
+    both = np.intersect1d(cells[labels > 0], cells[labels < 0])
+    return np.flatnonzero((cells < 0) | np.isin(cells, both))
 
 
 def box_vertices(a_eq, b_eq, lower, upper, tol=1e-9):

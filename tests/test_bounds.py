@@ -102,6 +102,12 @@ class TestCoreSurrogateBound:
         assert not core_surrogate_bound(10.0, 100, 0.01, 0.0, 10.0).valid
         assert core_surrogate_bound(1.0, 2, 0.1, 0.0, 1000.0).valid
 
+    @pytest.mark.parametrize("m_core", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_error(self, m_core):
+        # m * mu_core / 2 underflows to 0 for a subnormal mu_core
+        with pytest.raises(ValueError, match="m_core"):
+            core_surrogate_bound(1.0, 2, 0.1, 0.0, m_core)
+
 
 class TestCoreClassificationBound:
     def test_hinge_identity(self):

@@ -420,12 +420,29 @@ def _bounds_argv(draw):
 @example(["bounds", "--m=1000", "--n=2", "--delta=0.1", "--loss=cone:1,1e5", "--b=800",
           "--no-timestamp"])
 @example(["bounds", "--m=1000", "--n=2", "--delta=5e-324", "--loss=exp", "--no-timestamp"])
+@example(["bounds", "--m=1", "--n=1", "--delta=1e-300", "--loss=exp", "--no-timestamp",
+          "--mu-core=5e-324"])
 def test_bounds_keeps_the_cli_contract(argv):
     _assert_cli_contract(argv)
 
 
+def test_bounds_with_an_overflowing_cone_value_is_one_error_line():
+    # c1 softplus(b) passes the largest double for c1 = 1e300 and b = 1e10
+    argv = ["bounds", "--m=1000", "--n=2", "--delta=0.1", "--loss=cone:1e300,1", "--b=1e10",
+            "--no-timestamp"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert code == 1
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_FLOATS, min_size=1, max_size=3), _LOSS_SPECS)
+@example(["8.98846567431158e+307"], "exp")  # 2^1023: the margins overflow to +-inf
 def test_impossibility_keeps_the_cli_contract(scales, loss):
     _assert_cli_contract(["impossibility", "--depth=3", "--m=20", f"--scales={','.join(scales)}",
                           f"--loss={loss}", "--seed=0", "--no-timestamp"])

@@ -102,6 +102,15 @@ class TestValues:
             assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
         assert np.all(np.isfinite(np.concatenate([np.ravel(g) for g in subgradients])))
 
+    def test_cone_with_huge_logistic_weight_overflows_quietly(self):
+        # c1 softplus(1e10) = 1e310 passes the largest double: +inf, no warning
+        loss = Loss("cone", c1=1e300, c2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert loss.value(1e10) == math.inf
+            values = loss.value(np.array([0.0, 1e10]))
+        assert np.array_equal(values, [1e300 * math.log(2.0), math.inf])
+
     def test_cone_exp_clamp_is_exp_clamp_for_moderate_weights(self):
         # up to c2 = 6.5e3 the clamp stays at EXP_CLAMP, and the flag with it
         loss = Loss("cone", c1=1.0, c2=6.5e3)

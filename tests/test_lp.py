@@ -16,7 +16,6 @@ from hardcoreboost.lp import (
     LpError,
     _check_feasible,
     solve,
-    solve_each,
 )
 
 
@@ -301,43 +300,11 @@ def test_per_point_solutions_do_not_depend_on_call_order():
         assert_same_solution(s, f)
 
 
-def test_solve_each_is_solve_per_row():
-    rng = np.random.default_rng(5)
-    x, y, _ = planted_problem(48, 6, 0.5, rng)
-    a = FeatureMatrix(x, y).correlations
-    m = a.shape[1]
-    lp = LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=np.ones(m))
-    objectives = np.vstack([np.identity(m), rng.standard_normal((4, m))])
-    got = solve_each(lp, objectives)
-    assert len(got) == len(objectives)
-    for sol, c in zip(got, objectives):
-        assert_same_solution(sol, solve(lp, c))
-    # an unbounded row and an optimal row of one program, and a program
-    # that is infeasible under every objective
-    ray = LinearProgram(np.zeros(2), upper=np.array([np.inf, 1.0]))
-    assert [s.status for s in solve_each(ray, np.identity(2))] == [STATUS_UNBOUNDED, STATUS_OPTIMAL]
-    empty = LinearProgram(np.zeros(2), a_eq=np.ones((1, 2)), b_eq=-np.ones(1))
-    for sol, c in zip(solve_each(empty, np.identity(2)), np.identity(2)):
-        assert sol.status == STATUS_INFEASIBLE
-        assert_same_solution(sol, solve(empty, c))
-    assert solve_each(lp, np.zeros((0, m))) == []
-
-
-def test_solve_each_checks_its_objectives():
-    lp = LinearProgram(np.zeros(2), upper=np.ones(2))
-    with pytest.raises(ValueError, match="one column per variable"):
-        solve_each(lp, np.ones((2, 3)))
-    with pytest.raises(ValueError, match="one column per variable"):
-        solve_each(lp, np.ones(2))
-    with pytest.raises(ValueError, match="finite"):
-        solve_each(lp, np.array([[1.0, 0.0], [np.inf, 0.0]]))
-
-
-def test_feasibility_check_takes_one_solution_per_row():
+def test_feasibility_check_rejects_a_bound_violation():
     lp = LinearProgram(np.zeros(1), upper=np.ones(1))
-    _check_feasible(lp, np.array([[0.5], [1.0]]))
+    _check_feasible(lp, np.array([1.0]))
     with pytest.raises(LpError, match="bound violation"):
-        _check_feasible(lp, np.array([[0.5], [1.1]]))
+        _check_feasible(lp, np.array([1.1]))
 
 
 def test_import_names_the_scipy_it_needs(monkeypatch):

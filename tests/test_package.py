@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "losses", "lp", "lsrm_schedule", "margins", "max_margin_2d", "optimize",
     "parse_class_spec", "parse_loss", "psi_inverse_bound", "psi_numeric",
     "rademacher_constant", "rademacher_surrogate_deviation", "risk", "sample_split_bounds",
-    "sample_world", "separator_certificate", "solve", "solve_each", "subgradient_descent",
+    "sample_world", "separator_certificate", "solve", "subgradient_descent",
     "suboptimality_certificate", "surrogate_risk", "surrogate_risk_saturated",
     "vc_unbounded_bound", "verify_dichotomy",
 ]
@@ -24,5 +24,5 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     # the public names are a contract: a change here is recorded in CHANGES.md
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 67
     assert sorted(hardcoreboost.__all__) == PUBLIC_NAMES
