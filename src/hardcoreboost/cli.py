@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -213,7 +214,10 @@ def cmd_sweep(args) -> dict:
     return {}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="hardcoreboost")
     sub = parser.add_subparsers(dest="command", required=True)
 

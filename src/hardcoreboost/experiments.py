@@ -59,7 +59,8 @@ def max_margin_2d(sample: Sample) -> tuple[np.ndarray, float]:
     """l1-normalized max-margin direction for 2-D projection features.
 
     Solves max t subject to y_j <lam, x_j> >= t and |lam|_1 <= 1, the
-    empty-core case of the hard-core separator LP.  A nonseparable sample is
+    empty-core case of the max-margin LP (the hard-core separator is the
+    core LP's dual, whose margin can be smaller).  A nonseparable sample is
     reported through t <= 0.
     """
     if sample.x.shape[1] != 2:

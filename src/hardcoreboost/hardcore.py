@@ -1,8 +1,9 @@
 """Hard-core decomposition of an empirical linear classification problem.
 
-The dual side finds the maximal support of a decorrelating reweighting p
-(nonnegative, zero correlation with every feature against the labels); the
-primal side produces a weighting with zero margins on the core and strictly
+One linear program and its dual give both witnesses of the alternative: the
+primal side finds the maximal support of a decorrelating reweighting p
+(nonnegative, zero correlation with every feature against the labels), and
+its row duals are a weighting with zero margins on the core and strictly
 positive margins on the complement.  Both witnesses are verified before a
 certificate is returned.
 """
@@ -31,8 +32,8 @@ class HardCoreInconsistencyError(RuntimeError):
 class HardCoreCertificate:
     core: np.ndarray  # sorted indices of core points
     p: np.ndarray  # decorrelating weights, max entry 1, positive exactly on core
-    separator: np.ndarray  # weighting with |lam|_1 <= 1
-    margin: float  # separator margin floor on the complement; +inf if empty
+    separator: np.ndarray  # the core LP's row duals, |lam|_1 = 1; zero if no complement
+    margin: float  # separator's smallest margin on the live complement; +inf if empty
     point_optima: np.ndarray  # the core LP's t: 1 on the core, 0 off it (diagnostics)
 
     def core_mask(self, m: int) -> np.ndarray:
@@ -43,20 +44,22 @@ def compute_hardcore(fm: FeatureMatrix) -> HardCoreCertificate:
     """Compute and verify the hard core of the sampled problem.
 
     The decorrelating reweightings {p >= 0 : A p = 0} form a cone, closed
-    under addition and scaling, so one LP gives its maximal support (see
-    _core_lp); zero-mass points are excluded by convention.  The separator
-    and the certificate checks use A unscaled.
+    under addition and scaling, so one LP gives its maximal support, and its
+    row duals give the separator (see _core_lp); zero-mass points are
+    excluded by convention.  No second LP is solved.  The separator's margin
+    is the floor its dual certifies, not the max margin.  The certificate
+    checks use A unscaled.
     """
-    core_mask, t, p = _core_lp(fm)
+    core_mask, t, p, lam = _core_lp(fm)
     core = np.flatnonzero(core_mask)
-    lam, margin = separator_certificate(fm, core)
+    lam, margin = separator_certificate(fm, core, lam)
     cert = HardCoreCertificate(core, p, lam, margin, t)
     _verify_certificate(fm, cert)
     return cert
 
 
-def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(core mask, t, p) from the one hard-core LP.
+def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(core mask, t, p, lam) from the one hard-core LP.
 
     Over the variables [t, s] with p = t + s, maximizes sum(t) subject to
     A (t + s) = 0, 0 <= t <= 1 and s >= 0, with both bounds 0 on zero-mass
@@ -67,6 +70,13 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     [1/2, 1).  The scaling is exact, so the null space is A's; HiGHS's
     absolute tolerances then act relative to each row, and features times
     2^-k give bitwise the same t and p.
+
+    With the row duals y of the scaled rows, the reduced costs are -(A^T y)
+    on s and 1 - (A^T y) on t.  Some optimum has s > 0 on the whole core, so
+    complementary slackness gives (A^T y)_j = 0 there, and dual feasibility
+    at t_j = 0 gives (A^T y)_j >= 1 on every live point off it.  Undoing the
+    row scaling on y (exact, as it is a power of two) gives lam, a
+    weighting with those margins on A unscaled.
     """
     a = fm.correlations
     m = fm.m
@@ -86,7 +96,7 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = np.where(core_mask, t + sol.x[m:], 0.0)
     if core_mask.any():
         p = p / p.max()
-    return core_mask, t, p
+    return core_mask, t, p, np.ldexp(sol.row_duals, -row_exp)
 
 
 def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarray, float]:
@@ -95,7 +105,8 @@ def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarra
     Rows of both arrays are points, columns are features (y_j h_i(x_j)).
     Solves max t subject to abstain @ lam = 0, margin_rows @ lam >= t,
     |lam|_1 <= 1 and -1 <= t <= 1, over the 2n + 1 variables [lam+, lam-, t]
-    with lam = lam+ - lam-.  Returns (lam, t).
+    with lam = lam+ - lam-.  Returns (lam, t).  compute_hardcore does not
+    solve it: its separator's margin, from the core LP's duals, is at most t.
     """
     k, n = margin_rows.shape
     obj = np.zeros(2 * n + 1)
@@ -118,32 +129,41 @@ def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarra
     return sol.x[:n] - sol.x[n : 2 * n], float(sol.value)
 
 
-def separator_certificate(fm: FeatureMatrix, core) -> tuple[np.ndarray, float]:
-    """Max-margin separator abstaining on the core.
+def separator_certificate(fm: FeatureMatrix, core, lam) -> tuple[np.ndarray, float]:
+    """Certify lam as a separator that abstains on the core.
 
-    Solves max t subject to y_j (H lam)(x_j) >= t off the core,
-    y_j (H lam)(x_j) = 0 on the core, and |lam|_1 <= 1.  Returns (lam, t);
-    with an empty complement the zero weighting and a +inf sentinel are
-    returned.  A nonpositive t with nonempty complement means the supplied
-    core is not a hard core.
+    Returns (lam / |lam|_1, its smallest margin y_j (H lam)(x_j) over the
+    live points off the core).  With an empty complement the zero weighting
+    and a +inf sentinel are returned.  Raises HardCoreInconsistencyError if
+    a margin on the core exceeds CORE_TOL in absolute value, or if the
+    smallest margin off it is not above MARGIN_FLOOR: then the core is not a
+    hard core, or lam does not separate it.
     """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (fm.n,):
+        raise ValueError(f"weighting must have length {fm.n}")
     mask = region_to_mask(core, fm.m)
     # zero-mass points are excluded from the core by convention, and being
     # null they need no positive margin either
-    comp = np.flatnonzero(~mask & (fm.weights > 0))
-    n = fm.n
-    if comp.size == 0:
-        return np.zeros(n), float("inf")
-    a = fm.correlations
-    lam, t = _max_margin(a[:, mask].T, a[:, comp].T)
-    if t <= MARGIN_FLOOR:
+    comp = ~mask & (fm.weights > 0)
+    if not comp.any():
+        return np.zeros(fm.n), float("inf")
+    norm = np.abs(lam).sum()
+    if norm > 0:
+        lam = lam / norm
+    marg = fm.correlations.T @ lam
+    if np.abs(marg[mask]).max(initial=0.0) > CORE_TOL:
+        raise HardCoreInconsistencyError("separator does not abstain on the core")
+    margin = float(marg[comp].min())
+    if margin <= MARGIN_FLOOR:
         raise HardCoreInconsistencyError(
-            f"separator margin {t:g} is not positive: core/complement mismatch"
+            f"separator margin {margin:g} is not positive: core/complement mismatch"
         )
-    return lam, t
+    return lam, margin
 
 
 def _verify_certificate(fm: FeatureMatrix, cert: HardCoreCertificate):
+    """Check p; separator_certificate has checked the separator."""
     a = fm.correlations
     mask = cert.core_mask(fm.m)
     if np.any(cert.p[~mask] != 0.0) or np.any(cert.p[mask] <= 0.0):
@@ -151,16 +171,6 @@ def _verify_certificate(fm: FeatureMatrix, cert: HardCoreCertificate):
     decorr = np.abs(a @ cert.p).max(initial=0.0)
     if decorr > CORE_TOL:
         raise HardCoreInconsistencyError(f"decorrelation violation {decorr:g}")
-    marg = a.T @ cert.separator
-    if np.abs(marg[mask]).max(initial=0.0) > CORE_TOL:
-        raise HardCoreInconsistencyError("separator does not abstain on the core")
-    live = ~mask & (fm.weights > 0)
-    if np.any(live):
-        floor = marg[live].min()
-        if not floor >= cert.margin - CORE_TOL:
-            raise HardCoreInconsistencyError("separator margin floor not achieved")
-        if cert.margin <= MARGIN_FLOOR:
-            raise HardCoreInconsistencyError("separator margin not positive")
 
 
 @dataclass(frozen=True)

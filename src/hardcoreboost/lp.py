@@ -126,6 +126,9 @@ class LpSolution:
     value: float
     x: np.ndarray | None
     iterations: int
+    # y = d value / d b, one per row, a_ub's rows then a_eq's (None unless
+    # optimal): objective - A^T y is the reduced cost, and y >= 0 on a_ub
+    row_duals: np.ndarray | None = None
 
     def __post_init__(self):
         if self.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED):
@@ -147,7 +150,8 @@ def solve(lp: LinearProgram, objective=None) -> LpSolution:
     """Maximize objective @ x (default lp.objective) over the program's feasible set.
 
     Every solve starts HiGHS cold, so the result does not depend on earlier
-    solves of the same program.  Raises LpError only on backend numerical
+    solves of the same program.  An optimal solution carries the row duals
+    of the same vertex.  Raises LpError only on backend numerical
     failure.
     """
     c = lp.objective if objective is None else _objective(objective, lp.n_vars)
@@ -156,7 +160,7 @@ def solve(lp: LinearProgram, objective=None) -> LpSolution:
     # front end reports as infeasible
     status = _highs.HighsModelStatus.kModelError
     iterations = 0
-    x = None
+    x = y = None
     if highs is not None:
         columns = np.arange(lp.n_vars, dtype=np.int32)
         with lock:
@@ -166,10 +170,13 @@ def solve(lp: LinearProgram, objective=None) -> LpSolution:
                 status = highs.getModelStatus()
                 iterations = int(highs.getInfo().simplex_iteration_count)
                 if status == _highs.HighsModelStatus.kOptimal:
-                    x = np.asarray(highs.getSolution().col_value, dtype=float)
+                    solution = highs.getSolution()
+                    x = np.asarray(solution.col_value, dtype=float)
+                    # HiGHS minimizes -c, so its row duals are -d value / d b
+                    y = -np.asarray(solution.row_dual, dtype=float)
     if status == _highs.HighsModelStatus.kOptimal:
         _check_feasible(lp, x)
-        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, iterations)
+        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, iterations, y)
     if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
         return LpSolution(STATUS_INFEASIBLE, float("nan"), None, iterations)
     if status == _highs.HighsModelStatus.kUnbounded:

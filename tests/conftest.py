@@ -29,7 +29,9 @@ def linprog_solve(lp, objective=None):
 
     The solver drives HiGHS with the options linprog passes when presolve is
     off, and starts every solve cold, so the two must agree bit for bit:
-    status, value, x and iteration count.
+    status, value, x, row duals and iteration count.  linprog's marginals
+    are the derivatives of its minimum, of -c @ x, in b_ub and b_eq, so the
+    row duals, in b of the maximum, are their negation.
     """
     c = lp.objective if objective is None else np.asarray(objective, dtype=float)
     res = linprog(
@@ -45,7 +47,8 @@ def linprog_solve(lp, objective=None):
     if res.status == 0:
         x = np.asarray(res.x, dtype=float)
         _check_feasible(lp, x)
-        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, int(res.nit))
+        y = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, int(res.nit), y)
     if res.status == 2:
         return LpSolution(STATUS_INFEASIBLE, float("nan"), None, int(res.nit))
     if res.status == 3:
@@ -57,10 +60,12 @@ def assert_same_solution(got, want):
     """Bitwise equality of two LpSolutions."""
     assert (got.status, got.iterations) == (want.status, want.iterations)
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
-    if want.x is None:
-        assert got.x is None
-    else:
-        assert got.x.tobytes() == want.x.tobytes()
+    for name in ("x", "row_duals"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None, name
+        else:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def planted_problem(m, n, core_frac, rng):

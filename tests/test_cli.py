@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hardcoreboost import experiments
-from hardcoreboost.cli import run
+from hardcoreboost.cli import build_parser, run
 
 THREE_POINT_CSV = "f1,label\n0.5,1\n0.5,-1\n1.0,1\n"
 
@@ -130,6 +130,29 @@ class TestHardcoreCommand:
         report = json.loads(out.read_text())
         assert len(report["p"]) == 3
         assert not list(tmp_path.glob(".hcb-*"))  # no temp residue
+
+
+class TestParser:
+    def test_one_parser_parses_as_a_fresh_one(self, capsys, three_point, tmp_path):
+        # run parses with the parser it builds once; after a train, a hardcore
+        # and a failing bounds call it still parses each command as a new one
+        assert build_parser() is build_parser()
+        assert run(["train", str(three_point), "--class", "proj:1", "--no-timestamp"]) == 0
+        assert run(["hardcore", str(three_point), "--class", "proj:1", "--seed", "3",
+                    "--no-timestamp"]) == 0
+        assert run("bounds --m 0 --n 2 --delta 0.1 --loss exp".split()) == 1
+        capsys.readouterr()
+        fresh = build_parser.__wrapped__()
+        for argv in (
+            ["train", str(three_point), "--class", "proj:1", "--loss", "logistic",
+             "--method", "sub", "--trace", str(tmp_path / "t.csv")],
+            ["hardcore", str(three_point), "--class", "proj:1", "--seed", "3"],
+            "bounds --m 0 --n 2 --delta 0.1 --loss exp".split(),
+            "bounds --m 10 --n 2 --delta 0.1 --loss hinge --from-certificate c.json".split(),
+            "impossibility --depth 2 --m 10 --seed 1".split(),
+            ["sweep", "--config", "cfg.json", "--out", "curve.csv", "--no-timestamp"],
+        ):
+            assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 class TestTrainCommand:

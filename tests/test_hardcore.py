@@ -14,13 +14,13 @@ from hardcoreboost import (
     HardCoreInconsistencyError,
     LatticeCellClass,
     LatticeNoiseWorld,
-    LpError,
     OptimizerConfig,
     Sample,
     bounded_representation,
     compute_hardcore,
     coordinate_descent,
     separator_certificate,
+    solve,
     verify_dichotomy,
 )
 from hardcoreboost import hardcore
@@ -90,11 +90,11 @@ class TestComputeHardcore:
         ]
         + [
             # ROADMAP items 14 and 16: the core LP sees row-scaled A and
-            # finds the planted core, but the separator's margin falls under
-            # the absolute MARGIN_FLOOR
+            # finds the planted core, but its dual separator, normalized on A
+            # unscaled, has margins near 3e-11, under the absolute MARGIN_FLOOR
             pytest.param(1e-9, frac, id=f"1e-09-{frac}", marks=pytest.mark.xfail(
                 raises=HardCoreInconsistencyError, strict=True,
-                reason="separator margin under the absolute floor (items 14, 16)"))
+                reason="dual separator margin under the absolute floor (items 14, 16)"))
             for frac in (0.0, 0.5)
         ],
     )
@@ -150,7 +150,7 @@ class TestOneLpCore:
 
     @staticmethod
     def assert_matches_per_point(fm):
-        mask, t, p = hardcore._core_lp(fm)
+        mask, t, p, _ = hardcore._core_lp(fm)
         assert np.array_equal(mask, per_point_core(fm))
         # t is the 0/1 indicator of the core, and p is positive exactly on it
         assert np.array_equal(t, mask.astype(float))
@@ -192,28 +192,95 @@ class TestOneLpCore:
         assert 0 < want.size < m
         assert np.array_equal(cert.core, want)
 
-    @pytest.mark.xfail(raises=LpError, strict=True,
-                       reason="separator LP excess within HiGHS's tolerance (item 14)")
     def test_separator_at_feature_scale_1e_3(self):
-        # HiGHS accepts an absolute primal infeasibility of 1e-7, lp._check_feasible
-        # only 1e-8 (1 + max|x|); the separator's excess here is 2.5e-8
+        # a max-margin LP on A unscaled rejected its own solution here: its
+        # excess of 2.5e-8 was within HiGHS's absolute 1e-7, not within
+        # lp._check_feasible's 1e-8 (1 + max|x|)
         x, y, core = planted_problem(160, 8, 0.0, np.random.default_rng(20))
-        fm = FeatureMatrix(1e-3 * x, y)
-        assert np.array_equal(np.flatnonzero(hardcore._core_lp(fm)[0]), core)
-        compute_hardcore(fm)
+        cert = compute_hardcore(FeatureMatrix(1e-3 * x, y))
+        assert np.array_equal(cert.core, core)
+        assert cert.margin > 0
+
+    def test_separator_at_feature_scale_1e_7(self):
+        # a max-margin LP on A unscaled returned margin 0 here
+        x, y, core = planted_problem(160, 8, 0.5, np.random.default_rng(3))
+        cert = compute_hardcore(FeatureMatrix(1e-7 * x, y))
+        assert np.array_equal(cert.core, core)
+        assert cert.margin > 0
+
+    def test_one_lp_per_certificate(self, monkeypatch):
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(hardcore, "solve", counting_solve)
+        fms = [duplicated_point_fm(), three_point_fm()]
+        fms += [FeatureMatrix(*planted_problem(160, 8, frac, np.random.default_rng(7))[:2])
+                for frac in (0.0, 0.5, 1.0)]
+        for fm in fms:
+            calls.clear()
+            compute_hardcore(fm)
+            assert len(calls) == 1
 
 
 class TestSeparatorCertificate:
+    """The separator from the core LP's row duals: unit l1 norm, zero margins
+    on the core, the reported margin its smallest margin on the live
+    complement, and that margin positive and at most the max margin, which
+    the _max_margin LP gives."""
+
+    @staticmethod
+    def assert_separator_properties(fm):
+        cert = compute_hardcore(fm)
+        mask = cert.core_mask(fm.m)
+        comp = ~mask & (fm.weights > 0)
+        if not comp.any():
+            assert np.all(cert.separator == 0.0) and cert.margin == np.inf
+            return cert
+        a = fm.correlations
+        marg = a.T @ cert.separator
+        assert abs(np.abs(cert.separator).sum() - 1.0) <= 1e-12
+        assert np.abs(marg[mask]).max(initial=0.0) <= hardcore.CORE_TOL
+        assert cert.margin == marg[comp].min()
+        _, t_max = hardcore._max_margin(a[:, mask].T, a[:, comp].T)
+        assert 0 < cert.margin <= t_max + 1e-9
+        return cert
+
     def test_full_core_sentinel(self):
         fm = duplicated_point_fm()
-        lam, t = separator_certificate(fm, np.array([0, 1]))
+        lam, t = separator_certificate(fm, np.array([0, 1]), np.ones(1))
         assert np.all(lam == 0.0)
         assert t == np.inf
 
-    def test_separable_matches_max_margin(self):
+    def test_random_sign_problems(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            self.assert_separator_properties(random_sign_problem(rng))
+
+    def test_zero_mass_points(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            fm = random_sign_problem(rng)
+            live = rng.random(fm.m) >= 0.3
+            live[0] = True
+            self.assert_separator_properties(
+                FeatureMatrix(fm.features, fm.labels, live / live.sum()))
+
+    @pytest.mark.parametrize("m, n", [(48, 6), (160, 8)])
+    @pytest.mark.parametrize("core_frac", [0.0, 0.5, 1.0])
+    def test_planted_inputs(self, m, n, core_frac):
+        for seed in range(3):
+            x, y, core = planted_problem(m, n, core_frac, np.random.default_rng(seed))
+            cert = self.assert_separator_properties(FeatureMatrix(x, y))
+            assert np.array_equal(cert.core, core)
+
+    def test_separable_margin_within_max_margin(self):
         from hardcoreboost import Sample, max_margin_2d
 
-        # the worked pair, then random samples separable by sign(<w, x>)
+        # the worked pair, then random samples separable by sign(<w, x>): the
+        # core is empty, and the max margin is max_margin_2d's
         samples = [(np.array([[0.875, 1.0], [1.0, 0.7]]), np.array([1.0, -1.0]))]
         rng = np.random.default_rng(6)
         while len(samples) < 30:
@@ -224,11 +291,25 @@ class TestSeparatorCertificate:
             if len(set(labels)) == 2:
                 samples.append((pts, labels))
         for pts, labels in samples:
-            lam, t = separator_certificate(FeatureMatrix(pts, labels), np.array([], dtype=int))
-            lam_mm, t_mm = max_margin_2d(Sample(pts, labels))
-            assert t > 0
-            assert t == pytest.approx(t_mm, abs=1e-7)
-            assert np.allclose(lam, lam_mm, atol=1e-6)
+            cert = self.assert_separator_properties(FeatureMatrix(pts, labels))
+            assert cert.core.size == 0
+            assert cert.margin <= max_margin_2d(Sample(pts, labels))[1] + 1e-9
+
+    def test_rejects_a_weighting_that_does_not_separate(self):
+        # on a supplied core of two of the three points, lam = 1 has margins
+        # 0.5 and 1
+        fm = three_point_fm()
+        core = np.array([0, 2])
+        with pytest.raises(HardCoreInconsistencyError, match="abstain"):
+            separator_certificate(fm, core, np.ones(1))
+        sep = FeatureMatrix(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+        lam, margin = separator_certificate(sep, np.array([], dtype=int), np.array([4.0]))
+        assert lam.tolist() == [1.0] and margin == 1.0
+        for bad in (np.array([-4.0]), np.zeros(1)):
+            with pytest.raises(HardCoreInconsistencyError, match="not positive"):
+                separator_certificate(sep, np.array([], dtype=int), bad)
+        with pytest.raises(ValueError, match="length"):
+            separator_certificate(sep, np.array([], dtype=int), np.ones(2))
 
     def test_l1_norm_constraint(self):
         rng = np.random.default_rng(2)
@@ -255,8 +336,9 @@ class TestPrimalDualAgreement:
 
 
 class TestLinprogOracle:
-    """compute_hardcore against itself with every LP a fresh linprog call:
-    the core LP and the separator LP must give linprog's vertices bit for bit."""
+    """compute_hardcore against itself with its LP a fresh linprog call: the
+    core LP must give linprog's vertex and row duals bit for bit, and so the
+    same core, p and separator."""
 
     @staticmethod
     def assert_matches_linprog(fm, monkeypatch):

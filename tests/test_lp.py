@@ -254,6 +254,48 @@ def test_matches_linprog_bitwise(make):
     assert STATUS_OPTIMAL in statuses
 
 
+@pytest.mark.parametrize("make", [
+    random_bounded_lp,
+    lambda rng: random_bounded_lp(rng, inequalities=True),
+    free_lower_lp,
+], ids=["equalities", "inequalities", "free-lower"])
+def test_row_duals_certify_the_optimum(make):
+    # y prices the rows of max c @ x: the reduced cost r = c - A^T y may be
+    # positive only at a finite upper bound and negative only at a finite
+    # lower one, y >= 0 prices a_ub, and the dual value b @ y plus r's best
+    # bound term equals the primal value
+    rng = np.random.default_rng(13)
+    tol = 1e-9
+    optimal = 0
+    for _ in range(100):
+        lp = make(rng)
+        sol = solve(lp)
+        if sol.status != STATUS_OPTIMAL:  # free lower bounds can leave it unbounded
+            assert sol.row_duals is None
+            continue
+        optimal += 1
+        k = 0 if lp.a_ub is None else lp.a_ub.shape[0]
+        y_ub, y_eq = sol.row_duals[:k], sol.row_duals[k:]
+        rows = [(a, b, y) for a, b, y in ((lp.a_ub, lp.b_ub, y_ub), (lp.a_eq, lp.b_eq, y_eq))
+                if a is not None]
+        assert sol.row_duals.shape == (sum(a.shape[0] for a, _, _ in rows),)
+        r = lp.objective - sum((a.T @ y for a, _, y in rows), np.zeros(lp.n_vars))
+        lo, hi = lp.lower, lp.upper
+        # dual feasibility
+        assert np.all(y_ub >= -tol)
+        assert np.all(r[np.isinf(hi)] <= tol) and np.all(r[np.isinf(lo)] >= -tol)
+        # complementary slackness
+        if k:
+            assert np.all(np.abs(y_ub * (lp.b_ub - lp.a_ub @ sol.x)) <= tol)
+        finite_hi, finite_lo = np.where(np.isinf(hi), 0.0, hi), np.where(np.isinf(lo), 0.0, lo)
+        assert np.all(np.abs(np.maximum(r, 0.0) * (finite_hi - sol.x)) <= tol)
+        assert np.all(np.abs(np.minimum(r, 0.0) * (sol.x - finite_lo)) <= tol)
+        # strong duality
+        dual = sum(b @ y for _, b, y in rows) + np.where(r > 0, r * finite_hi, r * finite_lo).sum()
+        assert abs(dual - sol.value) <= tol
+    assert optimal >= 50
+
+
 @pytest.mark.parametrize("lp", [
     LinearProgram(np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
                   upper=np.array([1.0])),
