@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hardcore import _max_margin
 from .hypotheses import LatticeCellClass, ProjectionClass
 from .losses import Loss, _min_conditional_risk
+from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
 from .optimize import OptimizerConfig, coordinate_descent
 from .risk import Sample, classification_risk, surrogate_risk_saturated
 
@@ -58,16 +58,26 @@ def sample_world(world: Sample, m: int, seed: int) -> Sample:
 def max_margin_2d(sample: Sample) -> tuple[np.ndarray, float]:
     """l1-normalized max-margin direction for 2-D projection features.
 
-    Solves max t subject to y_j <lam, x_j> >= t and |lam|_1 <= 1, the
-    empty-core case of the max-margin LP (the hard-core separator is the
-    core LP's dual, whose margin can be smaller).  A nonseparable sample is
-    reported through t <= 0.
+    Solves max t subject to y_j <lam, x_j> >= t, |lam|_1 <= 1 and
+    -1 <= t <= 1, over the five variables [lam+, lam-, t] with
+    lam = lam+ - lam-, and returns (lam, t).  A nonseparable sample is
+    reported through t <= 0.  The hard-core separator is the core LP's
+    dual, whose margin can be smaller.
     """
     if sample.x.shape[1] != 2:
         raise ValueError("max_margin_2d expects 2-D instances")
     if len(set(sample.y)) < 2:
         raise ValueError("both labels must be present")
-    return _max_margin(np.zeros((0, 2)), sample.x * sample.y[:, None])
+    a = sample.x * sample.y[:, None]
+    # t - margin_j <= 0 per point, then sum(lam+ + lam-) <= 1
+    a_ub = np.vstack([np.hstack([-a, a, np.ones((a.shape[0], 1))]), [1.0, 1.0, 1.0, 1.0, 0.0]])
+    b_ub = np.append(np.zeros(a.shape[0]), 1.0)
+    lower = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
+    objective = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+    sol = solve(LinearProgram(objective, lower=lower, upper=np.ones(5), a_ub=a_ub, b_ub=b_ub))
+    if sol.status != STATUS_OPTIMAL:
+        raise LpError(f"max-margin LP is {sol.status}")
+    return sol.x[:2] - sol.x[2:4], float(sol.value)
 
 
 @dataclass(frozen=True)

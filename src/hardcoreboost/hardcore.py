@@ -99,36 +99,6 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return core_mask, t, p, np.ldexp(sol.row_duals, -row_exp)
 
 
-def _max_margin(abstain: np.ndarray, margin_rows: np.ndarray) -> tuple[np.ndarray, float]:
-    """Max-margin weighting that abstains on some points.
-
-    Rows of both arrays are points, columns are features (y_j h_i(x_j)).
-    Solves max t subject to abstain @ lam = 0, margin_rows @ lam >= t,
-    |lam|_1 <= 1 and -1 <= t <= 1, over the 2n + 1 variables [lam+, lam-, t]
-    with lam = lam+ - lam-.  Returns (lam, t).  compute_hardcore does not
-    solve it: its separator's margin, from the core LP's duals, is at most t.
-    """
-    k, n = margin_rows.shape
-    obj = np.zeros(2 * n + 1)
-    obj[-1] = 1.0
-    # t - margin_j <= 0 per margin row, then sum(lam+ + lam-) <= 1
-    a_ub = np.vstack([
-        np.hstack([-margin_rows, margin_rows, np.ones((k, 1))]),
-        np.append(np.ones(2 * n), 0.0),
-    ])
-    b_ub = np.append(np.zeros(k), 1.0)
-    a_eq = b_eq = None
-    if abstain.shape[0]:
-        a_eq = np.hstack([abstain, -abstain, np.zeros((abstain.shape[0], 1))])
-        b_eq = np.zeros(abstain.shape[0])
-    lower = np.zeros(2 * n + 1)
-    lower[-1] = -1.0
-    sol = solve(LinearProgram(obj, a_eq, b_eq, lower, np.ones(2 * n + 1), a_ub, b_ub))
-    if sol.status != STATUS_OPTIMAL:
-        raise LpError(f"max-margin LP is {sol.status}")
-    return sol.x[:n] - sol.x[n : 2 * n], float(sol.value)
-
-
 def separator_certificate(fm: FeatureMatrix, core, lam) -> tuple[np.ndarray, float]:
     """Certify lam as a separator that abstains on the core.
 

@@ -88,11 +88,13 @@ def _cone(loss) -> _Kernels:
     clamp = min(EXP_CLAMP, math.log(sys.float_info.max / c2) - 1.0) if c2 > 0 else EXP_CLAMP
 
     def phi(z):
-        e, sat = _exp_phi(z, clamp)
+        # a one-sided cone's value is its base's, weighted: 0 softplus(+inf)
+        # would be nan, and a clamped exp of weight 0 saturates nothing
+        e, sat = _exp_phi(z, clamp) if c2 > 0 else (0.0, False)
         # softplus grows linearly, so c1 softplus passes the largest double only
         # for c1 near it; the value is then +inf
         with np.errstate(over="ignore"):
-            return c1 * _LOGISTIC.phi(z)[0] + c2 * e, sat
+            return (c1 * _LOGISTIC.phi(z)[0] if c1 > 0 else 0.0) + c2 * e, sat
 
     def d1(z):
         return c1 * _LOGISTIC.d1(z) + c2 * _exp(z, clamp)

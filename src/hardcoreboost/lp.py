@@ -6,22 +6,18 @@ is delegated to the HiGHS dual simplex through the bindings scipy ships,
 which is deterministic and handles inequality rows, bounded variables and
 degenerate polytopes natively.
 
-Each program builds one HiGHS model on its first solve: its rows and bounds
-are passed once, and every solve sets the costs and clears the solver, so
-it starts cold and returns the same vertex, bit for bit, as a fresh HiGHS
-instance given the whole program, which is what scipy's
-`linprog(method="highs", options={"presolve": False})` builds on every
-call.  Presolve is off: on the hard core's small dense programs it took
-about four fifths of each solve.  HiGHS's feasibility tolerances are
-absolute, so a caller whose rows are small scales them first, as
-`compute_hardcore` does.
+Every solve builds one HiGHS instance, passes it the whole program, costs
+included, and runs it once, as scipy's
+`linprog(method="highs", options={"presolve": False})` does, so the two
+return the same vertex bit for bit.  Presolve is off: on the hard core's
+small dense programs it took about four fifths of each solve.  HiGHS's
+feasibility tolerances are absolute, so a caller whose rows are small
+scales them first, as `compute_hardcore` does.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -57,7 +53,13 @@ class LinearProgram:
     b_ub: np.ndarray | None = None  # (k,)
 
     def __post_init__(self):
-        c = _objective(self.objective, None)
+        c = np.asarray(self.objective, dtype=float)
+        if c.ndim != 1 or c.shape[0] == 0:
+            raise ValueError("objective must be a nonempty vector, one entry per variable")
+        if c.shape[0] > MAX_VARIABLES:
+            raise ValueError(f"at most {MAX_VARIABLES} variables supported, got {c.shape[0]}")
+        if not np.isfinite(c).all():
+            raise ValueError("objective must be finite")
         object.__setattr__(self, "objective", c)
         nv = c.shape[0]
         for kind, a_name, b_name in (("equality", "a_eq", "b_eq"),
@@ -83,42 +85,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.shape[0]
 
-    @cached_property
-    def _model(self) -> tuple[_highs._Highs | None, threading.Lock]:
-        """This program's HiGHS instance, None if HiGHS rejected the model,
-        and the lock that keeps its solves from interleaving."""
-        nv = self.n_vars
-        a_ub = np.zeros((0, nv)) if self.a_ub is None else self.a_ub
-        b_ub = np.zeros(0) if self.b_ub is None else self.b_ub
-        a_eq = np.zeros((0, nv)) if self.a_eq is None else self.a_eq
-        b_eq = np.zeros(0) if self.b_eq is None else self.b_eq
-        a = csc_array(np.vstack((a_ub, a_eq)))
-        model = _highs.HighsLp()
-        model.num_col_ = model.a_matrix_.num_col_ = nv
-        model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
-        model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        model.a_matrix_.start_ = a.indptr
-        model.a_matrix_.index_ = a.indices
-        model.a_matrix_.value_ = a.data
-        model.col_cost_ = np.zeros(nv)
-        model.col_lower_ = self.lower
-        model.col_upper_ = self.upper
-        model.row_lower_ = np.concatenate((np.full(b_ub.shape, -np.inf), b_eq))
-        model.row_upper_ = np.concatenate((b_ub, b_eq))
-        # the options scipy's front end passes for method="highs" with
-        # options={"presolve": False}
-        options = _highs.HighsOptions()
-        options.presolve = "off"
-        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-        options.log_to_console = False
-        options.output_flag = False
-        highs = _highs._Highs()
-        highs.passOptions(options)
-        if highs.passModel(model) == _highs.HighsStatus.kError:
-            highs = None
-        return highs, threading.Lock()
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -135,48 +101,59 @@ class LpSolution:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def _objective(c, nv: int | None) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.shape[0] == 0 or (nv is not None and c.shape[0] != nv):
-        raise ValueError("objective must be a nonempty vector, one entry per variable")
-    if c.shape[0] > MAX_VARIABLES:
-        raise ValueError(f"at most {MAX_VARIABLES} variables supported")
-    if not np.isfinite(c).all():
-        raise ValueError("objective must be finite")
-    return c
+def solve(lp: LinearProgram) -> LpSolution:
+    """Maximize lp.objective @ x over the program's feasible set.
 
-
-def solve(lp: LinearProgram, objective=None) -> LpSolution:
-    """Maximize objective @ x (default lp.objective) over the program's feasible set.
-
-    Every solve starts HiGHS cold, so the result does not depend on earlier
-    solves of the same program.  An optimal solution carries the row duals
-    of the same vertex.  Raises LpError only on backend numerical
+    Each call builds and runs its own HiGHS instance, so the result does
+    not depend on earlier solves.  An optimal solution carries the row
+    duals of the same vertex.  Raises LpError only on backend numerical
     failure.
     """
-    c = lp.objective if objective is None else _objective(objective, lp.n_vars)
-    highs, lock = lp._model
-    # HiGHS rejecting the model or the costs is a kModelError, which scipy's
-    # front end reports as infeasible
+    nv = lp.n_vars
+    a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
+    b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
+    a_eq = np.zeros((0, nv)) if lp.a_eq is None else lp.a_eq
+    b_eq = np.zeros(0) if lp.b_eq is None else lp.b_eq
+    a = csc_array(np.vstack((a_ub, a_eq)))
+    model = _highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = nv
+    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = a.indptr
+    model.a_matrix_.index_ = a.indices
+    model.a_matrix_.value_ = a.data
+    model.col_cost_ = -lp.objective  # HiGHS minimizes
+    model.col_lower_ = lp.lower
+    model.col_upper_ = lp.upper
+    model.row_lower_ = np.concatenate((np.full(b_ub.shape, -np.inf), b_eq))
+    model.row_upper_ = np.concatenate((b_ub, b_eq))
+    # the options scipy's front end passes for method="highs" with
+    # options={"presolve": False}
+    options = _highs.HighsOptions()
+    options.presolve = "off"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    highs = _highs._Highs()
+    highs.passOptions(options)
+    # HiGHS rejecting the model is a kModelError, which scipy's front end
+    # reports as infeasible
     status = _highs.HighsModelStatus.kModelError
     iterations = 0
     x = y = None
-    if highs is not None:
-        columns = np.arange(lp.n_vars, dtype=np.int32)
-        with lock:
-            if highs.changeColsCost(lp.n_vars, columns, -c) != _highs.HighsStatus.kError:
-                highs.clearSolver()
-                highs.run()
-                status = highs.getModelStatus()
-                iterations = int(highs.getInfo().simplex_iteration_count)
-                if status == _highs.HighsModelStatus.kOptimal:
-                    solution = highs.getSolution()
-                    x = np.asarray(solution.col_value, dtype=float)
-                    # HiGHS minimizes -c, so its row duals are -d value / d b
-                    y = -np.asarray(solution.row_dual, dtype=float)
+    if highs.passModel(model) != _highs.HighsStatus.kError:
+        highs.run()
+        status = highs.getModelStatus()
+        iterations = int(highs.getInfo().simplex_iteration_count)
+        if status == _highs.HighsModelStatus.kOptimal:
+            solution = highs.getSolution()
+            x = np.asarray(solution.col_value, dtype=float)
+            # HiGHS minimizes -c, so its row duals are -d value / d b
+            y = -np.asarray(solution.row_dual, dtype=float)
     if status == _highs.HighsModelStatus.kOptimal:
         _check_feasible(lp, x)
-        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, iterations, y)
+        return LpSolution(STATUS_OPTIMAL, float(lp.objective @ x), x, iterations, y)
     if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
         return LpSolution(STATUS_INFEASIBLE, float("nan"), None, iterations)
     if status == _highs.HighsModelStatus.kUnbounded:

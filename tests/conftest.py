@@ -24,18 +24,17 @@ from hardcoreboost.lp import (
 )
 
 
-def linprog_solve(lp, objective=None):
-    """`lp.solve` by one scipy `linprog(method="highs")` call per solve.
+def linprog_solve(lp):
+    """`lp.solve` by one scipy `linprog(method="highs")` call.
 
-    The solver drives HiGHS with the options linprog passes when presolve is
-    off, and starts every solve cold, so the two must agree bit for bit:
-    status, value, x, row duals and iteration count.  linprog's marginals
-    are the derivatives of its minimum, of -c @ x, in b_ub and b_eq, so the
-    row duals, in b of the maximum, are their negation.
+    Both build one HiGHS instance per solve with the options linprog passes
+    when presolve is off, so they must agree bit for bit: status, value, x,
+    row duals and iteration count.  linprog's marginals are the derivatives
+    of its minimum, of -c @ x, in b_ub and b_eq, so the row duals, in b of
+    the maximum, are their negation.
     """
-    c = lp.objective if objective is None else np.asarray(objective, dtype=float)
     res = linprog(
-        -c,
+        -lp.objective,
         A_ub=lp.a_ub,
         b_ub=lp.b_ub,
         A_eq=lp.a_eq,
@@ -48,7 +47,7 @@ def linprog_solve(lp, objective=None):
         x = np.asarray(res.x, dtype=float)
         _check_feasible(lp, x)
         y = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
-        return LpSolution(STATUS_OPTIMAL, float(c @ x), x, int(res.nit), y)
+        return LpSolution(STATUS_OPTIMAL, float(lp.objective @ x), x, int(res.nit), y)
     if res.status == 2:
         return LpSolution(STATUS_INFEASIBLE, float("nan"), None, int(res.nit))
     if res.status == 3:
@@ -90,14 +89,41 @@ def per_point_core(fm):
     _, row_exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))
     a_rows = np.ldexp(a, -row_exp[:, None])
     upper = np.where(fm.weights == 0.0, 0.0, 1.0)
-    base = LinearProgram(np.zeros(m), a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper)
     optima = np.empty(m)
     for j, c in enumerate(np.identity(m)):
-        sol = solve(base, c)
+        sol = solve(LinearProgram(c, a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper))
         if sol.status != STATUS_OPTIMAL:
             raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
         optima[j] = sol.value
     return optima > CORE_TOL
+
+
+def max_margin_oracle(abstain, margin_rows):
+    """Max-margin weighting that abstains on some points, by linprog: (lam, t).
+
+    Rows of both arrays are points, columns are features (y_j h_i(x_j)).
+    Solves max t subject to abstain @ lam = 0, margin_rows @ lam >= t,
+    |lam|_1 <= 1 and -1 <= t <= 1, over the 2n + 1 variables
+    [lam+, lam-, t] with lam = lam+ - lam-.
+    """
+    k, n = margin_rows.shape
+    obj = np.zeros(2 * n + 1)
+    obj[-1] = 1.0
+    # t - margin_j <= 0 per margin row, then sum(lam+ + lam-) <= 1
+    a_ub = np.vstack([
+        np.hstack([-margin_rows, margin_rows, np.ones((k, 1))]),
+        np.append(np.ones(2 * n), 0.0),
+    ])
+    b_ub = np.append(np.zeros(k), 1.0)
+    a_eq = b_eq = None
+    if abstain.shape[0]:
+        a_eq = np.hstack([abstain, -abstain, np.zeros((abstain.shape[0], 1))])
+        b_eq = np.zeros(abstain.shape[0])
+    lower = np.zeros(2 * n + 1)
+    lower[-1] = -1.0
+    sol = linprog_solve(LinearProgram(obj, a_eq, b_eq, lower, np.ones(2 * n + 1), a_ub, b_ub))
+    assert sol.status == STATUS_OPTIMAL
+    return sol.x[:n] - sol.x[n : 2 * n], float(sol.value)
 
 
 def lattice_core(cells, labels):

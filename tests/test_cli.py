@@ -445,6 +445,8 @@ def _bounds_argv(draw):
 @example(["bounds", "--m=1000", "--n=2", "--delta=5e-324", "--loss=exp", "--no-timestamp"])
 @example(["bounds", "--m=1", "--n=1", "--delta=1e-300", "--loss=exp", "--no-timestamp",
           "--mu-core=5e-324"])
+@example(["bounds", "--m=1", "--n=1", "--delta=1e-300", "--loss=cone:0,2", "--b=inf",
+          "--no-timestamp"])
 def test_bounds_keeps_the_cli_contract(argv):
     _assert_cli_contract(argv)
 

@@ -4,6 +4,7 @@ from conftest import (
     decorrelation_support_oracle,
     lattice_core,
     linprog_solve,
+    max_margin_oracle,
     per_point_core,
     planted_problem,
     random_sign_problem,
@@ -29,6 +30,18 @@ from hardcoreboost.losses import Loss
 
 def duplicated_point_fm():
     return FeatureMatrix(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
+
+
+def count_solves(monkeypatch):
+    """The argument tuples of the solves hardcore makes from here on."""
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(hardcore, "solve", counting_solve)
+    return calls
 
 
 def three_point_fm():
@@ -209,13 +222,7 @@ class TestOneLpCore:
         assert cert.margin > 0
 
     def test_one_lp_per_certificate(self, monkeypatch):
-        calls = []
-
-        def counting_solve(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(hardcore, "solve", counting_solve)
+        calls = count_solves(monkeypatch)
         fms = [duplicated_point_fm(), three_point_fm()]
         fms += [FeatureMatrix(*planted_problem(160, 8, frac, np.random.default_rng(7))[:2])
                 for frac in (0.0, 0.5, 1.0)]
@@ -224,12 +231,21 @@ class TestOneLpCore:
             compute_hardcore(fm)
             assert len(calls) == 1
 
+    def test_variable_limit_is_checked_before_any_solve(self, monkeypatch):
+        # the core LP has 2m = 20002 variables, past lp.MAX_VARIABLES
+        calls = count_solves(monkeypatch)
+        m = 10**4 + 1
+        fm = FeatureMatrix(np.ones((m, 1)), np.where(np.arange(m) % 2 == 0, 1.0, -1.0))
+        with pytest.raises(ValueError, match="at most 20000 variables supported, got 20002"):
+            compute_hardcore(fm)
+        assert calls == []
+
 
 class TestSeparatorCertificate:
     """The separator from the core LP's row duals: unit l1 norm, zero margins
     on the core, the reported margin its smallest margin on the live
     complement, and that margin positive and at most the max margin, which
-    the _max_margin LP gives."""
+    conftest.max_margin_oracle gives."""
 
     @staticmethod
     def assert_separator_properties(fm):
@@ -244,7 +260,7 @@ class TestSeparatorCertificate:
         assert abs(np.abs(cert.separator).sum() - 1.0) <= 1e-12
         assert np.abs(marg[mask]).max(initial=0.0) <= hardcore.CORE_TOL
         assert cert.margin == marg[comp].min()
-        _, t_max = hardcore._max_margin(a[:, mask].T, a[:, comp].T)
+        _, t_max = max_margin_oracle(a[:, mask].T, a[:, comp].T)
         assert 0 < cert.margin <= t_max + 1e-9
         return cert
 

@@ -63,6 +63,17 @@ class TestValues:
             expected = 0.7 * Loss("logistic").value(z) + 1.3 * Loss("exp").value(z)
             assert cone.value(z) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("c1, c2, base", [(0.0, 2.0, "exp"), (0.5, 0.0, "logistic")])
+    def test_one_sided_cone_is_its_weighted_base(self, c1, c2, base):
+        # the zero-weight term stays out: 0 softplus(+inf) would be nan
+        cone, base = Loss("cone", c1=c1, c2=c2), Loss(base)
+        z = np.array([-np.inf, -3.0, 0.0, 2.5, 800.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got, got_sat), (want, want_sat) = cone.value_saturated(z), base.value_saturated(z)
+            assert cone.value(np.inf) == (c1 + c2) * base.value(np.inf)
+        assert np.array_equal(got, (c1 + c2) * want) and got_sat == want_sat
+
     def test_positive_at_origin(self):
         for loss in ALL_KINDS:
             assert loss.value_at_origin > 0

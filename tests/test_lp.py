@@ -1,14 +1,13 @@
+import dataclasses
 import importlib
 import sys
-import threading
 
 import numpy as np
 import pytest
-from conftest import assert_same_solution, box_vertices, linprog_solve, planted_problem
-
-from hardcoreboost import FeatureMatrix
+from conftest import assert_same_solution, box_vertices, linprog_solve
 
 from hardcoreboost.lp import (
+    MAX_VARIABLES,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
@@ -246,9 +245,9 @@ def test_matches_linprog_bitwise(make):
         lp = make(rng)
         sol = solve(lp)
         assert_same_solution(sol, linprog_solve(lp))
-        # the same program solved again, and with another objective, starts cold
-        other = rng.normal(size=lp.n_vars)
-        assert_same_solution(solve(lp, other), linprog_solve(lp, other))
+        # the same feasible set under another objective, and this program again
+        other = dataclasses.replace(lp, objective=rng.normal(size=lp.n_vars))
+        assert_same_solution(solve(other), linprog_solve(other))
         assert_same_solution(solve(lp), sol)
         statuses.add(sol.status)
     assert STATUS_OPTIMAL in statuses
@@ -314,32 +313,23 @@ def test_infeasible_and_unbounded_match_linprog(lp):
 
 
 def test_objective_argument_is_checked():
-    lp = LinearProgram(np.zeros(2), upper=np.ones(2))
-    with pytest.raises(ValueError, match="one entry per variable"):
-        solve(lp, np.ones(3))
+    with pytest.raises(ValueError, match="nonempty"):
+        LinearProgram(np.zeros(0))
+    with pytest.raises(ValueError, match="nonempty"):
+        LinearProgram(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
-        solve(lp, np.array([1.0, np.nan]))
+        LinearProgram(np.array([1.0, np.nan]), upper=np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram(np.array([1.0, -np.inf]), upper=np.ones(2))
     with pytest.raises(ValueError, match="finite"):
         LinearProgram(np.zeros(2), a_eq=np.array([[1.0, np.inf]]), b_eq=np.zeros(1))
 
 
-def test_per_point_solutions_do_not_depend_on_call_order():
-    rng = np.random.default_rng(3)
-    x, y, _ = planted_problem(160, 8, 0.5, rng)
-    a = FeatureMatrix(x, y).correlations
-    m = a.shape[1]
-
-    def program():
-        return LinearProgram(np.zeros(m), a_eq=a, b_eq=np.zeros(a.shape[0]), upper=np.ones(m))
-
-    base = program()
-    points = np.identity(m)
-    forward = [solve(base, points[j]) for j in range(m)]
-    backward = [solve(base, points[j]) for j in reversed(range(m))][::-1]
-    fresh = [solve(program(), points[j]) for j in range(m)]
-    for f, b, s in zip(forward, backward, fresh):
-        assert_same_solution(b, f)
-        assert_same_solution(s, f)
+def test_variable_limit():
+    assert LinearProgram(np.zeros(MAX_VARIABLES)).n_vars == 2 * 10**4
+    with pytest.raises(ValueError, match=f"at most {MAX_VARIABLES} variables supported, "
+                                         f"got {MAX_VARIABLES + 1}"):
+        LinearProgram(np.zeros(MAX_VARIABLES + 1))
 
 
 def test_feasibility_check_rejects_a_bound_violation():
@@ -360,33 +350,3 @@ def test_import_names_the_scipy_it_needs(monkeypatch):
     finally:
         for name in [n for n in sys.modules if n.partition(".")[0] == "hardcoreboost"]:
             del sys.modules[name]
-
-
-def test_concurrent_solves_of_one_program_do_not_interleave():
-    rng = np.random.default_rng(12)
-    lp = random_bounded_lp(rng, inequalities=True)
-    objectives = rng.normal(size=(8, lp.n_vars))
-    want = [solve(lp, c) for c in objectives]
-    errors = []
-
-    def worker(k):
-        try:
-            for _ in range(40):
-                for j in range(k, k + len(objectives)):
-                    j %= len(objectives)
-                    assert_same_solution(solve(lp, objectives[j]), want[j])
-        except AssertionError as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
