@@ -1,6 +1,6 @@
 """One-dimensional search helpers shared across the package.
 
-golden_min and golden_max search one scalar bracket.  bisect_root solves
+golden_min searches one scalar bracket.  bisect_root solves
 independent monotone root problems elementwise over arrays of brackets, so a
 batch costs one call: from a caller's start point, by safeguarded Newton
 steps on the value and slope of the function (the rtsafe rule of Press et
@@ -48,11 +48,6 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float
             fd = f(d)
     x = c if fc < fd else d
     return x, min(fc, fd)
-
-
-def golden_max(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float]:
-    x, v = golden_min(lambda t: -f(t), lo, hi, tol)
-    return x, -v
 
 
 def bisect_root(g, lo, hi, x0, tol: float = 1e-12, max_iter: int = 400):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scalar import golden_max
+from ._scalar import golden_min
 from .hardcore import CORE_TOL, HardCoreCertificate
 from .hypotheses import FeatureMatrix
 from .losses import Loss, UnsupportedLossError
@@ -279,12 +279,17 @@ def suboptimality_certificate(
     """Duality gap of lam against the best rescaling of the certificate's p.
 
     The decorrelating p stays decorrelating under scaling, so every density
-    q = s p / w (0 off the core) is dual feasible.  Its dual value
-    -sum_j w_j phi*(q_j) is maximized over s >= 0 by golden section; the
-    result is primal minus that bound and is nonnegative up to tolerance.
-    If phi*'s domain ends at a finite E, s ranges over [0, E / max_j p_j / w_j]
-    and that end, where a dual linear in s (hinge) peaks, is priced too;
-    otherwise the bracket doubles from max_j q_j = 1 while the dual grows.
+    q = s u with u = p / w (0 off the core) is dual feasible.  Its dual value
+    D(s) = -sum_j w_j phi*(s u_j) is concave in s, with slope
+    -sum_j w_j u_j (phi*)'(s u_j).  (phi*)'(g) is the z where phi'(z) = g, so
+    the slope is >= 0 while every s u_j <= phi'(0) and <= 0 once every
+    positive s u_j >= phi'(0): D peaks on [phi'(0) / max u, phi'(0) / min u],
+    min over the positive u, cut at E / max u where phi*'s domain ends at E.
+    One golden section finds that peak; the result is primal minus its value
+    and is nonnegative up to tolerance.  A flat u or the hinge, whose dual is
+    linear in s, gives a bracket of width 0, priced once at its end.  Raises
+    ValueError when the bracket's upper end overflows, as it does for a
+    subnormal entry of u.
     """
     primal = surrogate_risk(fm, lam, loss)
     w = fm.weights
@@ -293,21 +298,14 @@ def suboptimality_certificate(
     if unit.max(initial=0.0) == 0.0:
         return primal  # dual value 0 from the zero reweighting
 
-    def dual_of(s: float) -> float:
-        return _dual_value(loss, w, s * unit)
-
-    end = loss.conjugate_domain_end
-    if math.isfinite(end):
-        s_hi = end / float(unit.max())
-        _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
-        return primal - max(dual, dual_of(s_hi))
-    s_one = s_hi = 1.0 / float(unit.max())
-    d_hi = dual_of(s_hi)
-    while s_hi < 1e12 * s_one:
-        d_next = dual_of(2.0 * s_hi)
-        if not d_next > d_hi:
-            break
-        s_hi, d_hi = 2.0 * s_hi, d_next
-    s_hi *= 2.0
-    _, dual = golden_max(dual_of, 0.0, s_hi, tol=1e-10 * s_hi)
-    return primal - dual
+    slope_zero = loss.subgradient(0.0)  # phi'(0)
+    u_max, u_min = float(unit.max()), float(unit[unit > 0].min())
+    s_lo = slope_zero / u_max
+    s_hi = min(loss.conjugate_domain_end / u_max, slope_zero / u_min)
+    if not math.isfinite(s_hi):
+        raise ValueError(f"p / w spans {u_min:g} to {u_max:g}: the dual scale's bracket overflows")
+    # 1e-15 s_hi is a few ulps of any point of the bracket, a width the
+    # search can always reach when s_hi / s_lo is large
+    tol = max(1e-10 * s_lo, 1e-15 * s_hi)
+    _, low = golden_min(lambda s: -_dual_value(loss, w, s * unit), s_lo, s_hi, tol=tol)
+    return primal + low

@@ -208,6 +208,17 @@ def random_sign_problem(rng, m_max=8, n_max=3):
     return FeatureMatrix(feats, labels)
 
 
+def dual_scale_bracket(fm, loss, cert):
+    """(u, s_lo, s_hi): u = p / w (0 off the positive masses) and the bracket
+    [phi'(0) / max u, min(E / max u, phi'(0) / min u)] of the certificate's
+    dual scale, min over the positive u and E the conjugate's domain end."""
+    w = fm.weights
+    unit = np.divide(cert.p, w, out=np.zeros(fm.m), where=w > 0)
+    slope_zero = loss.subgradient(0.0)
+    s_hi = min(loss.conjugate_domain_end / unit.max(), slope_zero / unit[unit > 0].min())
+    return unit, slope_zero / unit.max(), float(s_hi)
+
+
 def grid_min_risk(fm, loss, radius=6.0, steps=241):
     """Brute-force min of the empirical surrogate risk over a lambda box."""
     from hardcoreboost import surrogate_risk

@@ -5,16 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import planted_problem, scalar_bisect_root, two_search_psi
+from conftest import dual_scale_bracket, planted_problem, scalar_bisect_root, two_search_psi
 from hypothesis import strategies as st
 
-from hardcoreboost import (
-    FeatureMatrix,
-    OptimizerConfig,
-    compute_hardcore,
-    coordinate_descent,
-    suboptimality_certificate,
-)
+from hardcoreboost import FeatureMatrix, compute_hardcore
 from hardcoreboost.losses import (
     EXP_CLAMP,
     Loss,
@@ -272,34 +266,29 @@ class TestConjugate:
         assert one == pytest.approx(per_element_cone_conjugate(loss, 0.7), rel=1e-13, abs=1e-13)
 
     def test_cone_needs_few_derivative_passes(self, monkeypatch):
-        # the certificate's scale search on a certify-shaped problem: each
-        # conjugate call evaluates phi' and phi'' at the two bracket ends and
-        # confirms the closed-form start, where bisection makes ~53 passes
+        # conjugates at 48 scales of u = p / w across the certificate's
+        # dual-scale bracket on a certify-shaped problem, with unequal masses
+        # so that the bracket has width: each call evaluates phi' and phi'' at
+        # the two bracket ends and confirms the closed-form start, where
+        # bisection makes ~53 passes
         loss = parse_loss("cone:1,1")
-        x, y, _ = planted_problem(48, 6, 0.5, np.random.default_rng(1))
-        fm = FeatureMatrix(x, y)
-        cert = compute_hardcore(fm)
-        lam = coordinate_descent(fm, loss, OptimizerConfig(max_iters=300)).lam
-        derivatives, conjugate = Loss.derivatives, Loss.conjugate
-        passes, inside = [], []
+        rng = np.random.default_rng(1)
+        x, y, _ = planted_problem(48, 6, 0.5, rng)
+        w = rng.uniform(0.5, 1.5, size=48)
+        fm = FeatureMatrix(x, y, w / w.sum())
+        unit, s_lo, s_hi = dual_scale_bracket(fm, loss, compute_hardcore(fm))
+        assert s_lo < s_hi
+        derivatives = Loss.derivatives
+        passes = []
 
         def counted_derivatives(self, z):
-            if inside:
-                passes[-1] += 1
+            passes[-1] += 1
             return derivatives(self, z)
 
-        def counted_conjugate(self, g):
-            passes.append(0)
-            inside.append(True)
-            try:
-                return conjugate(self, g)
-            finally:
-                inside.pop()
-
         monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
-        monkeypatch.setattr(Loss, "conjugate", counted_conjugate)
-        assert suboptimality_certificate(fm, loss, lam, cert) >= -1e-9
-        assert len(passes) > 40
+        for s in np.linspace(s_lo, s_hi, 48):
+            passes.append(0)
+            loss.conjugate(s * unit)
         assert min(passes) >= 1 and max(passes) <= 10
 
     @pytest.mark.parametrize("loss", ALL_KINDS + ONE_SIDED_CONES, ids=str)

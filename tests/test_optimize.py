@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import full_row_coordinate_descent, grid_min_risk, random_sign_problem
+from conftest import (
+    dual_scale_bracket,
+    full_row_coordinate_descent,
+    grid_min_risk,
+    random_sign_problem,
+)
 from conftest import planted_problem as bench_planted_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +27,7 @@ from hardcoreboost import (
     surrogate_risk,
 )
 from hardcoreboost.experiments import LatticeNoiseWorld, build_staggered, sample_world
-from hardcoreboost.hardcore import CORE_TOL
+from hardcoreboost.hardcore import CORE_TOL, HardCoreCertificate
 from hardcoreboost.hypotheses import LatticeCellClass
 from hardcoreboost.losses import Loss, UnsupportedLossError, parse_loss
 from hardcoreboost.optimize import STEP_CAP, _line_search
@@ -588,19 +593,96 @@ class TestWeightedDuality:
         assert math.isfinite(gaps[1])
         assert gaps[1] == pytest.approx(c1 * gaps[0], abs=1e-9)
 
-    def test_each_doubled_scale_is_priced_once(self, monkeypatch):
+    @staticmethod
+    def count_dual_values(monkeypatch, limit=200):
         real = optimize_module._dual_value
         scales = []
 
         def spy(loss, weights, q):
             scales.append(float(q.max()))
+            if len(scales) > limit:  # a search that cannot end fails instead of hanging
+                raise RuntimeError(f"more than {limit} dual values")
             return real(loss, weights, q)
 
         monkeypatch.setattr(optimize_module, "_dual_value", spy)
+        return scales
+
+    def test_hinge_prices_its_bracket_end_alone(self, monkeypatch):
+        # phi'(0) is the end of hinge's conjugate domain, so the bracket is
+        # the single scale max_j q_j = 1
+        scales = self.count_dual_values(monkeypatch)
         fm = weighted_pair_fm()
-        suboptimality_certificate(fm, Loss("exp"), np.zeros(1), compute_hardcore(fm))
-        assert 1.0 in scales and 2.0 in scales  # the bracket doubled at least once
-        assert len(scales) == len(set(scales))
+        gap = suboptimality_certificate(fm, Loss("hinge"), np.array([1.0]), compute_hardcore(fm))
+        assert gap == 0.0
+        assert scales == [1.0]
+
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "cone:1,1", "cone:0.5,0", "cone:0,2"])
+    def test_flat_p_prices_phi_prime_at_zero(self, spec, monkeypatch):
+        # a flat u puts both bracket ends at phi'(0) / u, where D peaks
+        x, y, _ = bench_planted_problem(48, 6, 0.5, np.random.default_rng(1))
+        fm = FeatureMatrix(x, y)
+        loss = parse_loss(spec)
+        cert = compute_hardcore(fm)
+        lam = coordinate_descent(fm, loss, OptimizerConfig(max_iters=50)).lam
+        unit, s_lo, s_hi = dual_scale_bracket(fm, loss, cert)
+        assert s_lo == s_hi
+        dual = float(-np.sum(fm.weights * loss.conjugate(s_lo * unit)))
+        scales = self.count_dual_values(monkeypatch)
+        gap = suboptimality_certificate(fm, loss, lam, cert)
+        assert len(scales) == 1
+        assert gap == surrogate_risk(fm, lam, loss) - dual
+
+    @pytest.mark.parametrize("spec", ["exp", "cone:1,1"])
+    def test_wide_bracket_search_ends(self, spec, monkeypatch):
+        # u = p / w spans twelve decades, so the peak sits near 1e6 s_lo,
+        # where one ulp is wider than 1e-10 s_lo
+        fm = FeatureMatrix(
+            np.array([[1.0], [1.0]]), np.array([1.0, -1.0]), np.array([1e-12, 1.0 - 1e-12]))
+        loss = parse_loss(spec)
+        cert = compute_hardcore(fm)
+        unit, s_lo, s_hi = dual_scale_bracket(fm, loss, cert)
+        assert s_hi / s_lo > 1e11
+        grid = np.geomspace(s_lo, s_hi, 4001)
+        duals = -(fm.weights[:, None] * loss.conjugate(unit[:, None] * grid)).sum(axis=0)
+        lam = np.array([2.0])
+        oracle = surrogate_risk(fm, lam, loss) - duals.max()
+        scales = self.count_dual_values(monkeypatch)
+        gap = suboptimality_certificate(fm, loss, lam, cert)
+        assert len(scales) <= 200
+        assert -1e-12 <= gap <= oracle + 1e-12
+
+    def test_bracket_holds_the_grid_maximum(self):
+        # a grid over [0, 4 s_hi], past the bracket on both sides, finds no
+        # dual value above the certificate's
+        rng = np.random.default_rng(17)
+        losses = [parse_loss(spec) for spec in
+                  ("exp", "logistic", "hinge", "cone:1,1", "cone:0.5,0", "cone:0,2")]
+        checked = 0
+        while checked < 20:
+            base = random_sign_problem(rng)
+            w = rng.dirichlet(np.ones(base.m))
+            fm = FeatureMatrix(base.features, base.labels, w)
+            cert = compute_hardcore(fm)
+            if cert.p.max() == 0:
+                continue
+            checked += 1
+            lam = rng.normal(size=fm.n)
+            for loss in losses:
+                unit, _, s_hi = dual_scale_bracket(fm, loss, cert)
+                grid = np.linspace(0.0, 4.0 * s_hi, 4001)
+                duals = -(fm.weights[:, None] * loss.conjugate(unit[:, None] * grid)).sum(axis=0)
+                oracle = surrogate_risk(fm, lam, loss) - duals.max()
+                assert suboptimality_certificate(fm, loss, lam, cert) <= oracle + 1e-12
+
+    @pytest.mark.parametrize("spec", ["exp", "cone:1,1", "cone:0,2"])
+    def test_bracket_past_the_doubles_raises(self, spec):
+        # phi'(0) / min u overflows for a subnormal p_j; p need not decorrelate
+        # here, as only the bracket is tested
+        fm = FeatureMatrix(np.array([[0.5], [-0.5], [0.25]]), np.array([1.0, 1.0, -1.0]))
+        cert = HardCoreCertificate(
+            np.arange(3), np.array([1.0, 5e-324, 1.0]), np.zeros(1), math.inf, np.ones(3))
+        with pytest.raises(ValueError, match="overflows"):
+            suboptimality_certificate(fm, parse_loss(spec), np.zeros(1), cert)
 
     @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
     def test_decorrelation_tolerance_is_the_core_tolerance(self, factor, accepted):
