@@ -1,12 +1,12 @@
 """One-dimensional search helpers shared across the package.
 
-golden_min searches one scalar bracket.  bisect_root solves
-independent monotone root problems elementwise over arrays of brackets, so a
-batch costs one call: from a caller's start point, by safeguarded Newton
-steps on the value and slope of the function (the rtsafe rule of Press et
-al., Numerical Recipes, section 9.4), bisecting where a Newton step would
-leave the bracket or shrink it too slowly; a good start lets one pass
-confirm the root.
+golden_min searches one scalar bracket until it is tol wide or its probes
+run out of doubles.  bisect_root solves independent monotone root problems
+elementwise over arrays of brackets, so a batch costs one call: from a
+caller's start point, by safeguarded Newton steps on the value and slope of
+the function (the rtsafe rule of Press et al., Numerical Recipes, section
+9.4), bisecting where a Newton step would leave the bracket or shrink it too
+slowly; a good start lets one pass confirm the root.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float
     """Minimize a unimodal function on [lo, hi] by golden-section search.
 
     Returns (argmin, min value). The bracket is shrunk until its width is
-    below `tol`.
+    below `tol`, or until a new probe would not fall strictly between the
+    bracket end and the other probe; the better probe is then returned.
     """
     if hi < lo:
         raise ValueError("empty bracket")
@@ -40,11 +41,15 @@ def golden_min(f, lo: float, hi: float, tol: float = 1e-8) -> tuple[float, float
             b, d, fd = d, c, fc
             h = b - a
             c = a + _INVPHI2 * h
+            if not a < c < d:
+                return d, fd
             fc = f(c)
         else:
             a, c, fc = c, d, fd
             h = b - a
             d = a + _INVPHI * h
+            if not c < d < b:
+                return c, fc
             fd = f(d)
     x = c if fc < fd else d
     return x, min(fc, fd)

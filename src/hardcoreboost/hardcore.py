@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypotheses import FeatureMatrix
-from .lp import STATUS_OPTIMAL, LinearProgram, LpError, solve
+from .lp import LinearProgram, LpError, solve
 from .risk import region_to_mask
 
 # One order of magnitude above the LP feasibility tolerance: the core's LP
@@ -89,8 +89,6 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     lp = LinearProgram(objective, a_eq=np.hstack((a_rows, a_rows)),
                        b_eq=np.zeros(a.shape[0]), upper=upper)
     sol = solve(lp)
-    if sol.status != STATUS_OPTIMAL:
-        raise LpError(f"hard-core LP is {sol.status}")
     t = sol.x[:m]
     core_mask = t > CORE_TOL
     p = np.where(core_mask, t + sol.x[m:], 0.0)
@@ -194,8 +192,6 @@ def bounded_representation(fm: FeatureMatrix, core, lam) -> np.ndarray:
     obj = -np.ones(2 * n)
     a_eq = np.hstack([feats, -feats])
     sol = solve(LinearProgram(obj, a_eq, target))
-    if sol.status != STATUS_OPTIMAL:
-        raise LpError(f"bounded-representation LP is {sol.status} (internal error)")
     out = sol.x[:n] - sol.x[n:]
     if np.abs(out).sum() > np.abs(lam).sum() + 1e-7:
         raise LpError("minimum-norm representation exceeds the input norm")

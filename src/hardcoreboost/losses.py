@@ -248,7 +248,7 @@ def psi_inverse_bound(loss: Loss, r: float) -> float:
     """Closed-form upper bound on psi^{-1}(r), one per kind in _PSI_INVERSE.
 
     The cone value is a conservative heuristic, not a proved bound."""
-    if r < 0:
+    if not r >= 0:  # NaN included
         raise ValueError("r must be nonnegative")
     return _PSI_INVERSE[loss.kind](loss, r)
 

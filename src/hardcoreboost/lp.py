@@ -9,10 +9,11 @@ degenerate polytopes natively.
 Every solve builds one HiGHS instance, passes it the whole program, costs
 included, and runs it once, as scipy's
 `linprog(method="highs", options={"presolve": False})` does, so the two
-return the same vertex bit for bit.  Presolve is off: on the hard core's
-small dense programs it took about four fifths of each solve.  HiGHS's
-feasibility tolerances are absolute, so a caller whose rows are small
-scales them first, as `compute_hardcore` does.
+return the same vertex bit for bit, or both raise: a solve that ends
+anywhere but at an optimal vertex raises LpError.  Presolve is off: on
+the hard core's small dense programs it took about four fifths of each
+solve.  HiGHS's feasibility tolerances are absolute, so a caller whose
+rows are small scales them first, as `compute_hardcore` does.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ except ImportError as exc:  # missing from older scipy releases
 FEASIBILITY_TOL = 1e-8
 MAX_VARIABLES = 2 * 10**4
 
-STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_UNBOUNDED = "unbounded"
-
 
 class LpError(RuntimeError):
-    """Numerical failure inside the LP backend."""
+    """A program without an optimal vertex, or a numerical failure in the backend."""
 
 
 @dataclass(frozen=True)
@@ -88,26 +85,19 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str
     value: float
-    x: np.ndarray | None
+    x: np.ndarray
     iterations: int
-    # y = d value / d b, one per row, a_ub's rows then a_eq's (None unless
-    # optimal): objective - A^T y is the reduced cost, and y >= 0 on a_ub
-    row_duals: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.status not in (STATUS_OPTIMAL, STATUS_INFEASIBLE, STATUS_UNBOUNDED):
-            raise ValueError(f"unknown status {self.status!r}")
+    # the optimal vertex's y = d value / d b, one per row, a_ub's rows then
+    # a_eq's: objective - A^T y is the reduced cost, and y >= 0 on a_ub
+    row_duals: np.ndarray
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Maximize lp.objective @ x over the program's feasible set.
 
-    Each call builds and runs its own HiGHS instance, so the result does
-    not depend on earlier solves.  An optimal solution carries the row
-    duals of the same vertex.  Raises LpError only on backend numerical
-    failure.
+    Returns an optimal vertex and its row duals, from a HiGHS instance of its
+    own; any other outcome raises LpError naming HiGHS's model status.
     """
     nv = lp.n_vars
     a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
@@ -137,28 +127,18 @@ def solve(lp: LinearProgram) -> LpSolution:
     options.output_flag = False
     highs = _highs._Highs()
     highs.passOptions(options)
-    # HiGHS rejecting the model is a kModelError, which scipy's front end
-    # reports as infeasible
-    status = _highs.HighsModelStatus.kModelError
-    iterations = 0
-    x = y = None
+    status = _highs.HighsModelStatus.kModelError  # HiGHS rejected the model
     if highs.passModel(model) != _highs.HighsStatus.kError:
         highs.run()
         status = highs.getModelStatus()
-        iterations = int(highs.getInfo().simplex_iteration_count)
-        if status == _highs.HighsModelStatus.kOptimal:
-            solution = highs.getSolution()
-            x = np.asarray(solution.col_value, dtype=float)
-            # HiGHS minimizes -c, so its row duals are -d value / d b
-            y = -np.asarray(solution.row_dual, dtype=float)
-    if status == _highs.HighsModelStatus.kOptimal:
-        _check_feasible(lp, x)
-        return LpSolution(STATUS_OPTIMAL, float(lp.objective @ x), x, iterations, y)
-    if status in (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError):
-        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, iterations)
-    if status == _highs.HighsModelStatus.kUnbounded:
-        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, iterations)
-    raise LpError(f"LP backend failed: {highs.modelStatusToString(status)}")
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise LpError(f"LP is not optimal: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.asarray(solution.col_value, dtype=float)
+    _check_feasible(lp, x)
+    # HiGHS minimizes -c, so its row duals are -d value / d b
+    y = -np.asarray(solution.row_dual, dtype=float)
+    return LpSolution(float(lp.objective @ x), x, int(highs.getInfo().simplex_iteration_count), y)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL):

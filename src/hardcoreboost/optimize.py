@@ -288,13 +288,14 @@ def suboptimality_certificate(
     One golden section finds that peak; the result is primal minus its value
     and is nonnegative up to tolerance.  A flat u or the hinge, whose dual is
     linear in s, gives a bracket of width 0, priced once at its end.  Raises
-    ValueError when the bracket's upper end overflows, as it does for a
-    subnormal entry of u.
+    ValueError, for every loss, when max u or the bracket's upper end
+    overflows, as for a subnormal mass on the core or entry of u.
     """
     primal = surrogate_risk(fm, lam, loss)
     w = fm.weights
     # p is 0 on zero-mass points, which the core excludes
-    unit = np.divide(cert.p, w, out=np.zeros(fm.m), where=w > 0)
+    with np.errstate(over="ignore"):  # a subnormal w_j overflows u_j, raised on below
+        unit = np.divide(cert.p, w, out=np.zeros(fm.m), where=w > 0)
     if unit.max(initial=0.0) == 0.0:
         return primal  # dual value 0 from the zero reweighting
 
@@ -302,7 +303,7 @@ def suboptimality_certificate(
     u_max, u_min = float(unit.max()), float(unit[unit > 0].min())
     s_lo = slope_zero / u_max
     s_hi = min(loss.conjugate_domain_end / u_max, slope_zero / u_min)
-    if not math.isfinite(s_hi):
+    if not (math.isfinite(u_max) and math.isfinite(s_hi)):
         raise ValueError(f"p / w spans {u_min:g} to {u_max:g}: the dual scale's bracket overflows")
     # 1e-15 s_hi is a few ulps of any point of the bracket, a width the
     # search can always reach when s_hi / s_lo is large

@@ -12,26 +12,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from hardcoreboost.hardcore import CORE_TOL
-from hardcoreboost.lp import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    LinearProgram,
-    LpError,
-    LpSolution,
-    _check_feasible,
-    solve,
-)
+from hardcoreboost.lp import LinearProgram, LpError, LpSolution, _check_feasible, solve
 
 
 def linprog_solve(lp):
     """`lp.solve` by one scipy `linprog(method="highs")` call.
 
     Both build one HiGHS instance per solve with the options linprog passes
-    when presolve is off, so they must agree bit for bit: status, value, x,
-    row duals and iteration count.  linprog's marginals are the derivatives
-    of its minimum, of -c @ x, in b_ub and b_eq, so the row duals, in b of
-    the maximum, are their negation.
+    when presolve is off, so they must agree bit for bit: both raise LpError
+    on a program without an optimal vertex, and otherwise return the same
+    value, x, row duals and iteration count.  linprog's marginals are the
+    derivatives of its minimum, of -c @ x, in b_ub and b_eq, so the row
+    duals, in b of the maximum, are their negation.
     """
     res = linprog(
         -lp.objective,
@@ -43,28 +35,21 @@ def linprog_solve(lp):
         method="highs",
         options={"presolve": False},
     )
-    if res.status == 0:
-        x = np.asarray(res.x, dtype=float)
-        _check_feasible(lp, x)
-        y = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
-        return LpSolution(STATUS_OPTIMAL, float(lp.objective @ x), x, int(res.nit), y)
-    if res.status == 2:
-        return LpSolution(STATUS_INFEASIBLE, float("nan"), None, int(res.nit))
-    if res.status == 3:
-        return LpSolution(STATUS_UNBOUNDED, float("inf"), None, int(res.nit))
-    raise LpError(f"LP backend failed: {res.message}")
+    if not res.success:
+        raise LpError(f"LP is not optimal: {res.message}")
+    x = np.asarray(res.x, dtype=float)
+    _check_feasible(lp, x)
+    y = -np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+    return LpSolution(float(lp.objective @ x), x, int(res.nit), y)
 
 
 def assert_same_solution(got, want):
     """Bitwise equality of two LpSolutions."""
-    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert got.iterations == want.iterations
     assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
     for name in ("x", "row_duals"):
         g, w = getattr(got, name), getattr(want, name)
-        if w is None:
-            assert g is None, name
-        else:
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 def planted_problem(m, n, core_frac, rng):
@@ -85,17 +70,12 @@ def per_point_core(fm):
     CORE_TOL.
     """
     a = fm.correlations
-    m = fm.m
     _, row_exp = np.frexp(np.abs(a).max(axis=1, initial=0.0))
     a_rows = np.ldexp(a, -row_exp[:, None])
     upper = np.where(fm.weights == 0.0, 0.0, 1.0)
-    optima = np.empty(m)
-    for j, c in enumerate(np.identity(m)):
-        sol = solve(LinearProgram(c, a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper))
-        if sol.status != STATUS_OPTIMAL:
-            raise LpError(f"per-point decorrelation LP for point {j} is {sol.status}")
-        optima[j] = sol.value
-    return optima > CORE_TOL
+    optima = [solve(LinearProgram(c, a_eq=a_rows, b_eq=np.zeros(a.shape[0]), upper=upper)).value
+              for c in np.identity(fm.m)]
+    return np.array(optima) > CORE_TOL
 
 
 def max_margin_oracle(abstain, margin_rows):
@@ -122,7 +102,6 @@ def max_margin_oracle(abstain, margin_rows):
     lower = np.zeros(2 * n + 1)
     lower[-1] = -1.0
     sol = linprog_solve(LinearProgram(obj, a_eq, b_eq, lower, np.ones(2 * n + 1), a_ub, b_ub))
-    assert sol.status == STATUS_OPTIMAL
     return sol.x[:n] - sol.x[n : 2 * n], float(sol.value)
 
 

@@ -18,7 +18,7 @@ from hardcoreboost import (
     surrogate_risk,
     vc_unbounded_bound,
 )
-from hardcoreboost.losses import Loss, parse_loss
+from hardcoreboost.losses import Loss, parse_loss, psi_inverse_bound
 
 
 class TestSampleSplit:
@@ -366,3 +366,27 @@ def test_constants_from_certificate():
     c, b = constants_from_certificate(cert, fm, Loss("hinge"), np.array([0.5]))
     assert b == pytest.approx(0.5)
     assert c == pytest.approx(max(2.0 * 1.0 * 0.5 * math.sqrt(2.0), 1.5))
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi_inverse_bound(Loss("exp"), NAN),
+    lambda: psi_inverse_bound(Loss("exp"), -0.1),
+    lambda: core_surrogate_bound(1.0, 4, 0.01, NAN, 100.0),
+    lambda: core_surrogate_bound(1.0, 4, 0.01, INF, 100.0),
+    lambda: core_surrogate_bound(1.0, 4, 0.01, -0.1, 100.0),
+    lambda: vc_unbounded_bound(4, 100.0, NAN, 1.0, 0.01),
+    lambda: vc_unbounded_bound(4, 100.0, INF, 1.0, 0.01),
+    lambda: vc_unbounded_bound(4, 100.0, -0.1, 1.0, 0.01, zero_error=True),
+    lambda: sample_split_bounds(100, NAN, 0.01),
+    lambda: sample_split_bounds(100, -0.1, 0.01),
+    lambda: sample_split_bounds(100, 1.5, 0.01),
+], ids=["psi-nan", "psi-negative", "core-eps-nan", "core-eps-inf", "core-eps-negative",
+        "vc-eps-nan", "vc-eps-inf", "vc-eps-negative", "split-mu-nan", "split-mu-negative",
+        "split-mu-above-1"])
+def test_lemmas_reject_out_of_range_inputs(call):
+    # the checks are written so that NaN fails them, as BoundInputs' are
+    with pytest.raises(ValueError):
+        call()

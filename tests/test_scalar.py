@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from conftest import scalar_bisect_root
 
+from hardcoreboost import losses
 from hardcoreboost._scalar import bisect_root, golden_min
+from hardcoreboost.losses import Loss, psi_numeric
 
 
 def bits(x):
@@ -141,3 +143,30 @@ class TestGoldenMin:
     def test_empty_bracket_rejected(self):
         with pytest.raises(ValueError):
             golden_min(lambda t: t, 1.0, 0.0)
+
+    def test_tol_below_one_ulp_ends(self, monkeypatch):
+        # neither width can be reached in doubles, so the searches end where
+        # their probes run out of room; the spy raises past 200 evaluations
+        # instead of letting a search that cannot end hang
+        def capped(f):
+            def spy(x):
+                spy.calls += 1
+                if spy.calls > 200:
+                    raise AssertionError("golden_min took more than 200 evaluations")
+                return f(x)
+
+            spy.calls = 0
+            return spy
+
+        x, _ = golden_min(capped(lambda t: (t - 3e5) ** 2), 0.0, 1e6, tol=1e-12)
+        assert x == pytest.approx(3e5, rel=1e-15)
+        searches = []
+
+        def spied_golden_min(f, lo, hi, tol):
+            searches.append(capped(f))
+            return golden_min(searches[-1], lo, hi, tol)
+
+        monkeypatch.setattr(losses, "golden_min", spied_golden_min)
+        psi = psi_numeric(Loss("exp"), 0.5, tol=1e-17)
+        assert len(searches) == 1
+        assert psi == pytest.approx(1.0 - math.sqrt(0.75), abs=1e-12)
