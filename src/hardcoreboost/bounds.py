@@ -60,10 +60,20 @@ class BoundReport:
         return all(self.preconditions.values())
 
 
+def _check_delta_prime(delta_prime: float) -> None:
+    if not 0.0 < delta_prime <= 1.0:  # NaN included
+        raise ValueError(f"delta_prime must lie in (0, 1], got {delta_prime!r}")
+
+
 def sample_split_bounds(m: int, mu_core: float, delta_prime: float) -> tuple[float, float]:
-    """High-probability lower bounds on the core and complement sample counts."""
+    """High-probability lower bounds on the core and complement sample counts.
+
+    An m below 1, a core mass outside [0, 1] or a delta_prime outside (0, 1]
+    is an error.
+    """
     if not (m >= 1 and 0.0 <= mu_core <= 1.0):  # NaN included
         raise ValueError("m must be >= 1 and the core mass in [0, 1]")
+    _check_delta_prime(delta_prime)
     dev = math.sqrt(math.log(1.0 / delta_prime) / (2.0 * m))
     lower_core = max(0.0, m * (mu_core - dev))
     lower_plus = max(0.0, m * ((1.0 - mu_core) - dev))
@@ -81,11 +91,15 @@ def vc_unbounded_bound(
     """Classification-risk bound over the complement via VC relative deviations.
 
     zero_error selects the sharper form available when epsilon < phi0 / m.
-    Flagged invalid when m_plus < 1; an m_plus not positive and finite, or
-    an epsilon not finite and >= 0, is an error.
+    Flagged invalid when m_plus < 1; an m_plus not positive and finite, an
+    epsilon not finite and >= 0, a phi0 not positive or a delta_prime
+    outside (0, 1] is an error.
     """
     if not (0.0 < m_plus < math.inf and 0.0 <= epsilon < math.inf):  # NaN included
         raise ValueError("m_plus must be positive and finite, epsilon finite and nonnegative")
+    if not phi0 > 0.0:
+        raise ValueError(f"phi0 must be positive, got {phi0!r}")
+    _check_delta_prime(delta_prime)
     log_term = n * math.log(2.0 * m_plus + 1.0) + math.log(4.0 / delta_prime)
     value = 4.0 * log_term / m_plus
     if not zero_error:
@@ -102,10 +116,15 @@ def core_surrogate_bound(
 ) -> BoundValue:
     """Excess surrogate risk over the core; flagged invalid when m_core is too small.
 
-    An m_core not positive and finite, or an epsilon not finite and >= 0, is an error.
+    An m_core not positive and finite, a c not positive, an epsilon not
+    finite and >= 0, or a delta_prime outside (0, 1] is an error.  An
+    infinite c gives the true, vacuous bound +inf, flagged invalid.
     """
     if not (0.0 < m_core < math.inf and 0.0 <= epsilon < math.inf):  # NaN included
         raise ValueError("m_core must be positive and finite, epsilon finite and nonnegative")
+    if not c > 0.0:
+        raise ValueError(f"c must be positive, got {c!r}")
+    _check_delta_prime(delta_prime)
     valid = m_core >= c * c * (math.log(n) + math.log(6.0 / delta_prime))
     value = epsilon + c * (
         math.sqrt(math.log(n)) + 4.0 * math.sqrt(math.log(2.0 / delta_prime))

@@ -73,7 +73,7 @@ _LOGISTIC = _Kernels(
            + np.where(g < 1, (1.0 - g) * np.log1p(-g), 0.0)), 1.0,
 )
 _HINGE = _Kernels(
-    lambda z: (np.maximum(0.0, 1.0 + z), False), lambda z: np.where(z > -1.0, 1.0, 0.0),
+    lambda z: (np.maximum(0.0, 1.0 + z), False), lambda z: (z > -1.0).astype(float),
     lambda z: np.where(z < -1.0, 0.0, 1.0), _hinge_d12, lambda g: -g, 1.0,
 )
 _BASE = {"exp": _EXP, "logistic": _LOGISTIC, "hinge": _HINGE}

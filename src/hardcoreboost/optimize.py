@@ -4,9 +4,14 @@ Two methods are provided: subgradient descent for the hinge loss (Lipschitz
 and infimum-attaining) and greedy coordinate descent with exact line search
 for the exponential/logistic cone (the AdaBoost regime).  The line search
 is a safeguarded Newton iteration on the slope, using the loss's second
-derivative, that certifies a sign change on a bracket of width tol.  Each
+derivative, that certifies a sign change on a bracket of width tol.  It
+first probes min(1, 2 s) for the last untruncated step s along the same
+column, since steps along a column shrink as the descent converges; when
+the slope there is still negative, the search goes on from 1 as without
+that probe, so truncation at STEP_CAP is decided on the same points.  Each
 iteration of either method forms the margins H lam once and takes the
-objective and the gradient from them.  Coordinate descent keeps phi and
+objective and the gradient from them, with -y and w (-y) formed once per
+run (exact, as the labels are +-1).  Coordinate descent keeps phi and
 phi' per row and, after a step along column i, evaluates the loss only on
 the rows where column i is nonzero; the line search runs on those rows
 too, since every other row adds exactly 0 to its slope.  A column with no
@@ -18,6 +23,7 @@ reweightings turn iterates into suboptimality certificates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +47,15 @@ class OptimizerConfig:
     step_scale: float = 1.0  # subgradient step size scale/sqrt(t+1)
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if self.method not in ("subgradient", "coordinate"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not self.grad_tol >= 0.0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol!r}")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ValueError(f"step_scale must be positive and finite, got {self.step_scale!r}")
 
 
 @dataclass
@@ -65,9 +76,12 @@ def _objective(fm: FeatureMatrix, val: np.ndarray) -> float:
     return float(np.sum(fm.weights * val))
 
 
-def _risk_gradient(fm: FeatureMatrix, d1: np.ndarray) -> np.ndarray:
-    coeff = fm.weights * d1 * (-fm.labels)
-    return fm.features.T @ coeff
+def _signs(fm: FeatureMatrix):
+    """(-y, w (-y)), formed once per run.  The labels are +-1, so
+    neg_y * (H lam) and H^T (w_neg_y * phi'(z)) round as -(y (H lam)) and
+    H^T (w phi'(z) (-y)) do."""
+    neg_y = -fm.labels
+    return neg_y, fm.weights * neg_y
 
 
 def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> OptRun:
@@ -80,20 +94,21 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     best_lam = lam.copy()
     best_obj = surrogate_risk(fm, lam, loss)
     z = -margins(fm, lam)
+    neg_y, w_neg_y = _signs(fm)
     objs = [best_obj]
     grads = []
     norms = [0.0]
     stop = "iterations"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = _risk_gradient(fm, loss.subgradient(z))
+        g = fm.features.T @ (w_neg_y * loss.subgradient(z))
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
         lam = lam - (cfg.step_scale / math.sqrt(it)) * g
-        z = -margins(fm, lam)
+        z = neg_y * (fm.features @ lam)
         obj = _objective(fm, loss.value(z))
         objs.append(obj)
         norms.append(float(np.abs(lam).sum()))
@@ -111,7 +126,8 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
 
 
 def _line_search(
-    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, rows=slice(None)
+    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, rows=slice(None),
+    start: float = 1.0,
 ):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
@@ -121,10 +137,13 @@ def _line_search(
     where feats_dir is 0 adds exactly 0 to both, so leaving it out changes
     only the summation order.
 
-    Returns (step, truncated).  The bracket grows geometrically from 1; when
-    the slope stays negative out to STEP_CAP the step is truncated there.
-    Inside the bracket lo < hi, slope(lo) < 0 <= slope(hi), where lo may be
-    the unevaluated start of the ray.  A Newton step from the last point is
+    Returns (step, truncated).  The first slope is taken at start, in
+    (0, 1]: a nonnegative one there brackets the minimum in [0, start].  A
+    negative one makes start the bracket's low end and the bracket grows
+    geometrically from 1, as it does for start = 1; when the slope stays
+    negative out to STEP_CAP the step is truncated there.  Inside the
+    bracket lo < hi, slope(lo) < 0 <= slope(hi), where lo may be the
+    unevaluated start of the ray.  A Newton step from the last point is
     taken when it lands strictly inside the bracket and is at most half the
     step before last (the rtsafe rule); otherwise the bracket is bisected.
     A Newton step shorter than tol / 2 is carried tol / 4 past its root, so
@@ -144,14 +163,13 @@ def _line_search(
         d1, d2 = loss.derivatives(z_base + s * z_dir)
         return float((w_neg_y * d1) @ feats_dir), float(w_dir_sq @ d2)
 
-    hi = 1.0
+    lo, hi = 0.0, start
     f, df = slope_curvature(hi)
     while f < 0.0:
-        hi *= 2.0
+        lo, hi = hi, (2.0 * hi if hi >= 1.0 else 1.0)
         if hi >= STEP_CAP:
             return STEP_CAP, True
         f, df = slope_curvature(hi)
-    lo = 0.5 * hi if hi > 1.0 else 0.0
     s = hi
     last = before_last = math.inf
     while hi - lo > tol:
@@ -182,22 +200,27 @@ def coordinate_descent(
 ) -> OptRun:
     """Greedy coordinate descent with exact line search (AdaBoost-style).
 
-    Starts from init (zero by default), picks the coordinate with the largest
-    absolute partial derivative (ties to the lowest index) and minimizes
-    exactly along it.  Stops once the objective is at most target, on a
-    small full gradient, or at the iteration budget.
+    Starts from init (zero by default; finite, one entry per column), picks
+    the coordinate with the largest absolute partial derivative (ties to the
+    lowest index) and minimizes exactly along it.  Stops once the objective
+    is at most target, on a small full gradient, or at the iteration budget.
 
     A step along column i moves z only on the rows where column i is
     nonzero, so the line search and the refresh of phi(z) and phi'(z) run
-    on those rows alone.
+    on those rows alone.  Each line search along column i starts at twice
+    the last untruncated step along it, capped at 1.
     """
     if loss.kind not in ("exp", "logistic", "cone"):
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
     lam = np.zeros(fm.n) if init is None else np.asarray(init, dtype=float).copy()
-    z = -margins(fm, lam)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("init must be finite")
+    z = -margins(fm, lam)  # raises on a wrong-length init
+    neg_y, w_neg_y = _signs(fm)
     val, d1 = loss.value(z), loss.subgradient(z)
     objs = [_objective(fm, val)]
     col_rows = {}  # column -> its nonzero rows, or slice(None) when it has no zero
+    starts = [1.0] * fm.n  # column -> where its next line search starts, in (0, 1]
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
@@ -207,26 +230,26 @@ def coordinate_descent(
         if target is not None and objs[-1] <= target:
             stop = "target"
             break
-        g = _risk_gradient(fm, d1)
+        g = fm.features.T @ (w_neg_y * d1)
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
         i = int(np.argmax(np.abs(g)))
-        direction = np.zeros(fm.n)
-        direction[i] = -math.copysign(1.0, g[i])
+        sign = -math.copysign(1.0, g[i])
         col = fm.features[:, i]
         rows = col_rows.get(i)
         if rows is None:
             nonzero = np.flatnonzero(col)
             rows = col_rows[i] = slice(None) if nonzero.size == fm.m else nonzero
-        # H times the one-hot direction is exactly the signed column i
-        step, was_truncated = _line_search(fm, loss, z, direction[i] * col, rows=rows)
+        step, was_truncated = _line_search(fm, loss, z, sign * col, rows=rows, start=starts[i])
         truncated += was_truncated
-        lam = lam + step * direction
+        if not was_truncated and step > 0.0:
+            starts[i] = min(1.0, 2.0 * step)
+        lam[i] += step * sign
         # rows off column i keep their z bit for bit (H_ji lam_i adds 0)
-        z = -margins(fm, lam)
+        z = neg_y * (fm.features @ lam)
         val[rows] = loss.value(z[rows])
         d1[rows] = loss.subgradient(z[rows])
         objs.append(_objective(fm, val))

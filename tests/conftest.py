@@ -320,8 +320,9 @@ def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
 
     The loop the row-restricted coordinate_descent replaced: each slope of
     the line search, and the objective and the gradient after each step, run
-    over all m rows.  On columns without a zero entry the two must agree bit
-    for bit.
+    over all m rows.  Each line search along a column starts, as there, at
+    twice the last untruncated step along it, capped at 1.  On columns
+    without a zero entry the two must agree bit for bit.
     """
     import math
 
@@ -331,6 +332,7 @@ def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
     lam = np.zeros(fm.n) if init is None else np.asarray(init, dtype=float).copy()
     objs = [surrogate_risk(fm, lam, loss)]
     z = -margins(fm, lam)
+    starts = [1.0] * fm.n
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
@@ -349,8 +351,12 @@ def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
         i = int(np.argmax(np.abs(g)))
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
-        step, was_truncated = _line_search(fm, loss, z, direction[i] * fm.features[:, i])
+        step, was_truncated = _line_search(
+            fm, loss, z, direction[i] * fm.features[:, i], start=starts[i]
+        )
         truncated += was_truncated
+        if not was_truncated and step > 0.0:
+            starts[i] = min(1.0, 2.0 * step)
         lam = lam + step * direction
         z = -margins(fm, lam)
         objs.append(float(np.sum(fm.weights * loss.value(z))))
@@ -358,4 +364,41 @@ def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
     return OptRun(
         lam, objs[-1], np.array(objs), np.array(grads), np.array(norms), stop, it,
         truncated_steps=truncated,
+    )
+
+
+def reference_subgradient_descent(fm, loss, cfg):
+    """The subgradient loop that signs through risk.margins at every step:
+    z = -(y (H lam)) and the gradient H^T (w phi'(z) (-y)) formed from the
+    labels each iteration.  subgradient_descent must agree with it bit for bit."""
+    import math
+
+    from hardcoreboost.optimize import OptRun
+    from hardcoreboost.risk import margins, surrogate_risk
+
+    lam = np.zeros(fm.n)
+    best_lam = lam.copy()
+    best_obj = surrogate_risk(fm, lam, loss)
+    z = -margins(fm, lam)
+    objs = [best_obj]
+    grads = []
+    norms = [0.0]
+    stop = "iterations"
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        g = fm.features.T @ (fm.weights * loss.subgradient(z) * (-fm.labels))
+        sup = float(np.abs(g).max(initial=0.0))
+        grads.append(sup)
+        if sup <= cfg.grad_tol:
+            stop = "gradient"
+            break
+        lam = lam - (cfg.step_scale / math.sqrt(it)) * g
+        z = -margins(fm, lam)
+        obj = float(np.sum(fm.weights * loss.value(z)))
+        objs.append(obj)
+        norms.append(float(np.abs(lam).sum()))
+        if obj < best_obj:
+            best_obj, best_lam = obj, lam.copy()
+    return OptRun(
+        best_lam, best_obj, np.array(objs), np.array(grads), np.array(norms), stop, it,
     )

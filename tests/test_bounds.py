@@ -6,6 +6,7 @@ import pytest
 
 from hardcoreboost import (
     BoundInputs,
+    BoundValue,
     FeatureMatrix,
     compute_hardcore,
     constants_from_certificate,
@@ -390,3 +391,42 @@ def test_lemmas_reject_out_of_range_inputs(call):
     # the checks are written so that NaN fails them, as BoundInputs' are
     with pytest.raises(ValueError):
         call()
+
+
+BAD_DELTA_PRIMES = [NAN, 0.0, -0.1, 1.5, INF]
+
+
+@pytest.mark.parametrize("call, name", [
+    *[(lambda dp=dp: sample_split_bounds(100, 0.5, dp), "delta_prime") for dp in BAD_DELTA_PRIMES],
+    *[(lambda dp=dp: vc_unbounded_bound(4, 100.0, 0.0, 1.0, dp), "delta_prime")
+      for dp in BAD_DELTA_PRIMES],
+    *[(lambda dp=dp: core_surrogate_bound(1.0, 4, dp, 0.1, 100.0), "delta_prime")
+      for dp in BAD_DELTA_PRIMES],
+    *[(lambda phi0=phi0: vc_unbounded_bound(4, 100.0, 0.1, phi0, 0.01), "phi0")
+      for phi0 in (NAN, 0.0, -1.0)],
+    *[(lambda c=c: core_surrogate_bound(c, 4, 0.1, 0.1, 100.0), "c must")
+      for c in (NAN, 0.0, -1.0)],
+    (lambda: core_classification_bound(Loss("exp"), NAN, 4, 0.1, 0.1, 100.0, 0.0), "c must"),
+    (lambda: core_classification_bound(Loss("exp"), 1.0, 4, 0.0, 0.1, 100.0, 0.0),
+     "delta_prime"),
+], ids=[*(f"split-dp-{v}" for v in BAD_DELTA_PRIMES), *(f"vc-dp-{v}" for v in BAD_DELTA_PRIMES),
+        *(f"core-dp-{v}" for v in BAD_DELTA_PRIMES), "vc-phi0-nan", "vc-phi0-0", "vc-phi0-negative",
+        "core-c-nan", "core-c-0", "core-c-negative", "classification-c-nan",
+        "classification-dp-0"])
+def test_lemmas_name_a_bad_delta_prime_phi0_or_c(call, name):
+    # a NaN delta' or phi0 gave a nan bound flagged valid, delta' = 0 a
+    # ZeroDivisionError and delta' > 1 a math domain error
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+@pytest.mark.parametrize("dp", [1.0, 1e-300 / 8.0])
+def test_lemmas_accept_delta_prime_at_the_ends(dp):
+    assert all(math.isfinite(v) for v in sample_split_bounds(100, 0.5, dp))
+    assert math.isfinite(vc_unbounded_bound(4, 100.0, 0.1, 1.0, dp).value)
+    assert math.isfinite(core_surrogate_bound(1.0, 4, dp, 0.1, 100.0).value)
+
+
+def test_infinite_c_is_a_vacuous_bound():
+    # +inf is true of every risk, and JSON refuses it at the CLI
+    assert core_surrogate_bound(INF, 4, 0.1, 0.1, 100.0) == BoundValue(INF, False)

@@ -188,14 +188,16 @@ class TestTrainCommand:
         assert report["objective"] == min(float(row[1]) for row in rows)
 
     def test_non_finite_report_writes_no_trace(self, capsys, tmp_path):
-        # an infinite step scale sends the best iterate to infinity; the
-        # report is a domain error, and neither it nor the trace is written
-        data = tmp_path / "separable.csv"
-        data.write_text("f1,label\n1.0,1\n0.5,1\n-1.0,-1\n")
+        # phi(0) = c1 ln 2 + c2 e^(ln(DBL_MAX / c2) - 1) passes the largest
+        # double, and the duplicated point's gradient is 0 at the start, so the
+        # objective is +inf; the report is a domain error, and neither it nor
+        # the trace is written
+        data = tmp_path / "duplicated.csv"
+        data.write_text("f1,label\n1.0,1\n1.0,-1\n")
         trace, out = tmp_path / "trace.csv", tmp_path / "report.json"
         code = run(
-            ["train", str(data), "--class", "proj:1", "--loss", "hinge",
-             "--method", "sub", "--step-scale", "inf", "--max-iters", "3",
+            ["train", str(data), "--class", "proj:1", "--loss", "cone:1.7e308,1.7e308",
+             "--method", "coord", "--max-iters", "3",
              "--trace", str(trace), "--out", str(out)]
         )
         assert code == 1
@@ -203,6 +205,21 @@ class TestTrainCommand:
         assert captured.out == "" and not trace.exists() and not out.exists()
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and "not JSON compliant" in err["message"]
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--step-scale", "nan"], ["--step-scale", "inf"], ["--step-scale", "-1"],
+        ["--step-scale", "0"],
+    ], ids=" ".join)
+    def test_bad_step_scale_is_a_domain_error(self, capsys, three_point, tmp_path, flags):
+        out = tmp_path / "report.json"
+        code = run(["train", str(three_point), "--class", "proj:1", "--loss", "hinge",
+                    "--method", "sub", *flags, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "step_scale" in err["message"]
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from conftest import (
     full_row_coordinate_descent,
     grid_min_risk,
     random_sign_problem,
+    reference_subgradient_descent,
 )
 from conftest import planted_problem as bench_planted_problem
 from hypothesis import given, settings
@@ -100,10 +101,10 @@ def bisection_line_search(slope, tol=1e-10):
     return 0.5 * (lo + hi), False
 
 
-def line_search(fm, loss, lam, direction, tol=1e-10):
+def line_search(fm, loss, lam, direction, tol=1e-10, start=1.0):
     """_line_search on the ray from lam along direction, as coordinate descent
     calls it: with z_base = -y (H lam) and feats_dir = H direction."""
-    return _line_search(fm, loss, -margins(fm, lam), fm.features @ direction, tol)
+    return _line_search(fm, loss, -margins(fm, lam), fm.features @ direction, tol, start=start)
 
 
 # the package's `optimize` attribute is the function, not the module
@@ -285,9 +286,10 @@ class TestLineSearchOracle:
         monkeypatch.setattr(
             optimize_module,
             "_line_search",
-            # -y z_base is H lam exactly, as the labels are +-1; the oracle
-            # sums over all rows, where rows off the column add exactly 0
-            lambda fm, loss, z_base, feats_dir, rows=None: bisection_line_search(
+            # -y z_base is H lam exactly, as the labels are +-1; the
+            # oracle sums over all rows, where rows off the column add exactly
+            # 0, and bisects from 0 wherever the search starts
+            lambda fm, loss, z_base, feats_dir, rows=None, start=1.0: bisection_line_search(
                 ray_slope(fm, loss, -fm.labels * z_base, feats_dir)
             ),
         )
@@ -326,6 +328,29 @@ class TestLineSearchOracle:
         assert counts["searches"] == 300
         assert counts["slopes"] / counts["searches"] <= 8.0
 
+    @pytest.mark.parametrize("spec, bound", [("exp", 5.0), ("logistic", 5.1)])
+    def test_warm_start_saves_slope_passes(self, spec, bound, monkeypatch):
+        # on the train benchmark's input shape a search that starts at 1
+        # takes about 5.7 (exp) and 5.5 (logistic) slopes; one that starts at
+        # twice the column's last step takes about 4.3 and 4.6
+        x, y, _ = bench_planted_problem(2000, 16, 0.3, np.random.default_rng(0))
+        counts = {"slopes": 0, "searches": 0}
+        derivatives, line_search = Loss.derivatives, optimize_module._line_search
+
+        def counted_derivatives(loss, z):
+            counts["slopes"] += 1
+            return derivatives(loss, z)
+
+        def counted_line_search(*args, **kwargs):
+            counts["searches"] += 1
+            return line_search(*args, **kwargs)
+
+        monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
+        monkeypatch.setattr(optimize_module, "_line_search", counted_line_search)
+        coordinate_descent(FeatureMatrix(x, y), Loss(spec), OptimizerConfig(max_iters=500))
+        assert counts["searches"] == 500
+        assert counts["slopes"] / counts["searches"] <= bound
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -352,6 +377,84 @@ def test_truncation_matches_oracle(seed, scale_exp, separable, loss):
     direction = np.eye(fm.n)[0]
     _, truncated = line_search(fm, loss, lam, direction)
     assert truncated == oracle_line_search(fm, loss, lam, direction)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale_exp=st.integers(-24, 0),
+    separable=st.booleans(),
+    loss=st.sampled_from(CD_LOSSES),
+    start=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_warm_start_matches_a_start_at_one(seed, scale_exp, separable, loss, start):
+    # test_truncation_matches_oracle's planted block, searched from start:
+    # truncation is decided on the probes 1, 2, 4, ... either way, and the
+    # step lands within tol of bisection's
+    rng = np.random.default_rng(seed)
+    fm = random_sign_problem(rng, m_max=12, n_max=3)
+    block = rng.random(fm.m) < 0.5
+    block[0] = True
+    col = np.where(block, fm.labels * rng.uniform(0.5, 1.0, fm.m), 0.0)
+    if not separable:
+        col[0] = -col[0]
+    feats = fm.features.copy()
+    feats[:, 0] = col * 10.0**scale_exp
+    fm = FeatureMatrix(feats, fm.labels)
+    lam = rng.normal(size=fm.n)
+    direction = np.eye(fm.n)[0]
+    step, truncated = line_search(fm, loss, lam, direction, start=start)
+    assert truncated == line_search(fm, loss, lam, direction)[1]
+    want, want_truncated = oracle_line_search(fm, loss, lam, direction)
+    assert truncated == want_truncated
+    assert abs(step - want) <= 1e-10
+
+
+def acceptance_4_problems():
+    """The 20 sign problems of acceptance 4, a zero column added where n = 1."""
+    rng = np.random.default_rng(41)
+    problems = []
+    for _ in range(20):
+        fm = random_sign_problem(rng, m_max=6, n_max=2)
+        if fm.n == 1:
+            fm = FeatureMatrix(np.hstack([fm.features, np.zeros((fm.m, 1))]), fm.labels)
+        problems.append(fm)
+    return problems
+
+
+def zero_mass_sign_problems(count, seed):
+    """Weighted sign problems where about a third of the points have mass 0."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        fm = random_sign_problem(rng, m_max=30, n_max=4)
+        w = rng.uniform(0.1, 1.0, fm.m) * (rng.random(fm.m) < 0.67)
+        w[0] = 1.0
+        problems.append(FeatureMatrix(fm.features, fm.labels, w / w.sum()))
+    return problems
+
+
+class TestSubgradientReference:
+    """subgradient_descent forms -y and w (-y) once per run;
+    reference_subgradient_descent signs through risk.margins every step."""
+
+    @pytest.mark.parametrize("fm, cfg", [
+        *[(planted_problem(np.random.default_rng(m + n), m, n, 0.3),
+           OptimizerConfig(method="subgradient", max_iters=iters))
+          for m, n, iters in [(2000, 16, 2000), (48, 6, 3000)]],
+        *[(fm, OptimizerConfig(method="subgradient", max_iters=500, step_scale=scale))
+          for fm, scale in zip(zero_mass_sign_problems(6, seed=9), itertools.cycle([0.5, 2.0]))],
+        *[(fm, OptimizerConfig(method="subgradient", max_iters=3000))
+          for fm in acceptance_4_problems()],
+    ], ids=["planted-2000x16", "planted-48x6", *(f"zero-mass-{k}" for k in range(6)),
+            *(f"acceptance-4-{k}" for k in range(20))])
+    def test_bit_identical(self, fm, cfg):
+        run = subgradient_descent(fm, Loss("hinge"), cfg)
+        want = reference_subgradient_descent(fm, Loss("hinge"), cfg)
+        assert (run.stop_reason, run.iterations) == (want.stop_reason, want.iterations)
+        for name in ("lam", "objective_trace", "grad_sup_trace", "norm_trace"):
+            assert getattr(run, name).tobytes() == getattr(want, name).tobytes(), name
+        assert np.float64(run.objective).tobytes() == np.float64(want.objective).tobytes()
 
 
 def lattice_problems():
@@ -763,3 +866,35 @@ def test_config_validation():
         OptimizerConfig(method="newton")
     with pytest.raises(ValueError):
         OptimizerConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"max_iters": 2.5}, "max_iters"), ({"max_iters": math.nan}, "max_iters"),
+    ({"max_iters": -3}, "max_iters"),
+    ({"grad_tol": math.nan}, "grad_tol"), ({"grad_tol": -1.0}, "grad_tol"),
+    ({"step_scale": math.nan}, "step_scale"), ({"step_scale": -1.0}, "step_scale"),
+    ({"step_scale": math.inf}, "step_scale"), ({"step_scale": 0.0}, "step_scale"),
+], ids=str)
+def test_config_rejects_bad_values(kwargs, name):
+    # each was accepted: max_iters = 2.5 failed later in range(), a NaN
+    # grad_tol never stopped on the gradient, a NaN step scale made every
+    # iterate NaN
+    with pytest.raises(ValueError, match=name):
+        OptimizerConfig(**kwargs)
+
+
+def test_config_accepts_edge_values():
+    OptimizerConfig(max_iters=np.int64(3), grad_tol=0.0, step_scale=1e-300)
+
+
+@pytest.mark.parametrize("init", [[math.nan], [math.inf], [-math.inf]], ids=str)
+def test_coordinate_descent_rejects_a_non_finite_init(init):
+    # init = [nan] returned lambda [nan], objective nan, stop reason "iterations"
+    with pytest.raises(ValueError, match="finite"):
+        coordinate_descent(duplicated_point_fm(), Loss("exp"), OptimizerConfig(), init=init)
+
+
+@pytest.mark.parametrize("init", [[0.0, 0.0], [], [[0.0]]], ids=str)
+def test_coordinate_descent_rejects_a_wrong_length_init(init):
+    with pytest.raises(ValueError, match="length"):
+        coordinate_descent(duplicated_point_fm(), Loss("exp"), OptimizerConfig(), init=init)
