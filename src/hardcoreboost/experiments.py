@@ -285,7 +285,12 @@ def _train_to_suboptimality(fm, cells, loss, epsilon):
 
 
 def consistency_sweep(cfg: SweepConfig) -> list[StageResult]:
-    """Excess true classification risk per stage, across seeded replications."""
+    """Excess true classification risk per stage, across seeded replications.
+
+    Lattice features are cell indicators, so the empirical risk depends on a
+    sample only through the mass of each (cell, label) pair: each
+    replication trains on one row per such group, carrying its summed mass.
+    """
     results = []
     bayes = cfg.world.bayes_risk()
     for s_idx, stage in enumerate(cfg.stages, start=1):
@@ -295,8 +300,13 @@ def consistency_sweep(cfg: SweepConfig) -> list[StageResult]:
         for rep in range(cfg.replications):
             rng = np.random.default_rng((cfg.seed, s_idx, rep))
             sample = cfg.world.sample(stage.m, rng)
-            fm = cls.materialize(sample)
-            run, achieved = _train_to_suboptimality(fm, cls.cells(sample.x), cfg.loss, stage.epsilon)
+            cells = cls.cells(sample.x)
+            _, first, group = np.unique(
+                2 * cells + (sample.y > 0), return_index=True, return_inverse=True
+            )
+            mass = np.bincount(group, weights=sample.weights)
+            fm = cls.materialize(Sample(sample.x[first], sample.y[first], mass))
+            run, achieved = _train_to_suboptimality(fm, cells[first], cfg.loss, stage.epsilon)
             if not achieved:
                 failures += 1
                 continue

@@ -75,8 +75,9 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     on s and 1 - (A^T y) on t.  Some optimum has s > 0 on the whole core, so
     complementary slackness gives (A^T y)_j = 0 there, and dual feasibility
     at t_j = 0 gives (A^T y)_j >= 1 on every live point off it.  Undoing the
-    row scaling on y (exact, as it is a power of two) gives lam, a
-    weighting with those margins on A unscaled.
+    row scaling on y gives a weighting with those margins on A unscaled;
+    lam is that weighting times the one power of two that puts its largest
+    entry in [1/2, 1), which keeps a subnormal row from overflowing it.
     """
     a = fm.correlations
     m = fm.m
@@ -94,7 +95,11 @@ def _core_lp(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     p = np.where(core_mask, t + sol.x[m:], 0.0)
     if core_mask.any():
         p = p / p.max()
-    return core_mask, t, p, np.ldexp(sol.row_duals, -row_exp)
+    y = sol.row_duals
+    _, y_exp = np.frexp(y)
+    # |y_i| 2^-row_exp_i lies in [2^(e_i - 1), 2^e_i) for e_i = y_exp_i - row_exp_i
+    e = (y_exp - row_exp)[y != 0.0]
+    return core_mask, t, p, np.ldexp(y, -row_exp - (e.max() if e.size else 0))
 
 
 def separator_certificate(fm: FeatureMatrix, core, lam) -> tuple[np.ndarray, float]:

@@ -11,12 +11,7 @@ the slope there is still negative, the search goes on from 1 as without
 that probe, so truncation at STEP_CAP is decided on the same points.  Each
 iteration of either method forms the margins H lam once and takes the
 objective and the gradient from them, with -y and w (-y) formed once per
-run (exact, as the labels are +-1).  Coordinate descent keeps phi and
-phi' per row and, after a step along column i, evaluates the loss only on
-the rows where column i is nonzero; the line search runs on those rows
-too, since every other row adds exactly 0 to its slope.  A column with no
-zero entry keeps all rows, so dense input gives the iterates of a
-full-row loop bit for bit.  Dual lower bounds from decorrelating
+run (exact, as the labels are +-1).  Dual lower bounds from decorrelating
 reweightings turn iterates into suboptimality certificates.
 """
 
@@ -126,16 +121,12 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
 
 
 def _line_search(
-    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, rows=slice(None),
-    start: float = 1.0,
+    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, start: float = 1.0
 ):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
     The ray starts at lam with z_base = -y (H lam) and moves along a
-    direction d with feats_dir = H d.  The slope and curvature are summed
-    over rows only (an index array or a slice, all rows by default); a row
-    where feats_dir is 0 adds exactly 0 to both, so leaving it out changes
-    only the summation order.
+    direction d with feats_dir = H d.
 
     Returns (step, truncated).  The first slope is taken at start, in
     (0, 1]: a nonnegative one there brackets the minimum in [0, start].  A
@@ -151,13 +142,11 @@ def _line_search(
     That bracket's midpoint is returned, as a bisection to width tol would;
     a bracket whose ends are adjacent doubles ends the search as well.
     """
-    z_base, feats_dir = z_base[rows], feats_dir[rows]
-    neg_y, weights = -fm.labels[rows], fm.weights[rows]
+    neg_y, w_neg_y = _signs(fm)
     # Labels are +-1, so these products are exact and every slope rounds as
     # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
     z_dir = neg_y * feats_dir
-    w_neg_y = weights * neg_y
-    w_dir_sq = weights * (feats_dir * feats_dir)
+    w_dir_sq = fm.weights * (feats_dir * feats_dir)
 
     def slope_curvature(s: float) -> tuple[float, float]:
         d1, d2 = loss.derivatives(z_base + s * z_dir)
@@ -204,11 +193,8 @@ def coordinate_descent(
     the coordinate with the largest absolute partial derivative (ties to the
     lowest index) and minimizes exactly along it.  Stops once the objective
     is at most target, on a small full gradient, or at the iteration budget.
-
-    A step along column i moves z only on the rows where column i is
-    nonzero, so the line search and the refresh of phi(z) and phi'(z) run
-    on those rows alone.  Each line search along column i starts at twice
-    the last untruncated step along it, capped at 1.
+    Each line search along column i starts at twice the last untruncated
+    step along it, capped at 1.
     """
     if loss.kind not in ("exp", "logistic", "cone"):
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
@@ -219,7 +205,6 @@ def coordinate_descent(
     neg_y, w_neg_y = _signs(fm)
     val, d1 = loss.value(z), loss.subgradient(z)
     objs = [_objective(fm, val)]
-    col_rows = {}  # column -> its nonzero rows, or slice(None) when it has no zero
     starts = [1.0] * fm.n  # column -> where its next line search starts, in (0, 1]
     grads = []
     norms = [float(np.abs(lam).sum())]
@@ -238,20 +223,13 @@ def coordinate_descent(
             break
         i = int(np.argmax(np.abs(g)))
         sign = -math.copysign(1.0, g[i])
-        col = fm.features[:, i]
-        rows = col_rows.get(i)
-        if rows is None:
-            nonzero = np.flatnonzero(col)
-            rows = col_rows[i] = slice(None) if nonzero.size == fm.m else nonzero
-        step, was_truncated = _line_search(fm, loss, z, sign * col, rows=rows, start=starts[i])
+        step, was_truncated = _line_search(fm, loss, z, sign * fm.features[:, i], start=starts[i])
         truncated += was_truncated
         if not was_truncated and step > 0.0:
             starts[i] = min(1.0, 2.0 * step)
         lam[i] += step * sign
-        # rows off column i keep their z bit for bit (H_ji lam_i adds 0)
         z = neg_y * (fm.features @ lam)
-        val[rows] = loss.value(z[rows])
-        d1[rows] = loss.subgradient(z[rows])
+        val, d1 = loss.value(z), loss.subgradient(z)
         objs.append(_objective(fm, val))
         norms.append(float(np.abs(lam).sum()))
     return OptRun(

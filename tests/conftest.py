@@ -315,15 +315,13 @@ def two_search_psi(loss, theta, tol=1e-8):
     return max(0.0, h_minus - h_full)
 
 
-def full_row_coordinate_descent(fm, loss, cfg, init=None, target=None):
-    """Coordinate descent that evaluates the loss on every row at every step.
-
-    The loop the row-restricted coordinate_descent replaced: each slope of
-    the line search, and the objective and the gradient after each step, run
-    over all m rows.  Each line search along a column starts, as there, at
-    twice the last untruncated step along it, capped at 1.  On columns
-    without a zero entry the two must agree bit for bit.
-    """
+def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
+    """The coordinate-descent loop that signs through risk.margins at every
+    step: z = -(y (H lam)) and the gradient H^T (w phi'(z) (-y)) formed from
+    the labels each iteration, and lam rebuilt from a direction vector rather
+    than updated in place.  Each line search along a column starts, as there,
+    at twice the last untruncated step along it, capped at 1.
+    coordinate_descent must agree with it bit for bit."""
     import math
 
     from hardcoreboost.optimize import OptRun, _line_search
@@ -402,3 +400,29 @@ def reference_subgradient_descent(fm, loss, cfg):
     return OptRun(
         best_lam, best_obj, np.array(objs), np.array(grads), np.array(norms), stop, it,
     )
+
+
+def ungrouped_sweep(cfg):
+    """consistency_sweep trained on one row per sample point.
+
+    Each replication draws the same sample, materializes the full
+    m x n lattice matrix and trains to the same target; returns the
+    per-stage (excess risks, failure count)."""
+    from hardcoreboost.experiments import _train_to_suboptimality
+    from hardcoreboost.hypotheses import LatticeCellClass
+
+    out = []
+    for s_idx, stage in enumerate(cfg.stages, start=1):
+        cls = LatticeCellClass(stage.class_index, 1)
+        excess, failures = [], 0
+        for rep in range(cfg.replications):
+            sample = cfg.world.sample(stage.m, np.random.default_rng((cfg.seed, s_idx, rep)))
+            run, achieved = _train_to_suboptimality(
+                cls.materialize(sample), cls.cells(sample.x), cfg.loss, stage.epsilon
+            )
+            if achieved:
+                excess.append(cfg.world.classification_risk(cls, run.lam) - cfg.world.bayes_risk())
+            else:
+                failures += 1
+        out.append((excess, failures))
+    return out

@@ -131,6 +131,15 @@ class TestHardcoreCommand:
         assert len(report["p"]) == 3
         assert not list(tmp_path.glob(".hcb-*"))  # no temp residue
 
+    def test_subnormal_feature_keeps_the_cli_contract(self, tmp_path):
+        # the core LP's row dual, undone by the row scaling 2^1073 alone,
+        # overflowed into a warning and an inf separator
+        path = tmp_path / "subnormal.csv"
+        path.write_text("f1,label\n-5e-324,-1\n")
+        _assert_cli_contract(
+            ["hardcore", str(path), "--class", "proj:1", "--seed", "0", "--no-timestamp"]
+        )
+
 
 class TestParser:
     def test_one_parser_parses_as_a_fresh_one(self, capsys, three_point, tmp_path):

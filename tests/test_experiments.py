@@ -3,7 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import box_vertices, golden_conditional_min, lattice_risk_oracle
+from conftest import (
+    box_vertices,
+    golden_conditional_min,
+    lattice_risk_oracle,
+    ungrouped_sweep,
+)
 
 from hardcoreboost import (
     LatticeNoiseWorld,
@@ -389,6 +394,22 @@ class TestConsistencySweep:
         b = consistency_sweep(cfg)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.excess_risks, rb.excess_risks)
+
+    @pytest.mark.parametrize("kind", ["logistic", "exp"])
+    def test_grouped_rows_give_the_ungrouped_results(self, kind):
+        # one row per (cell, label) pair is the same risk function of lambda
+        # as one row per point, so each replication ends on the same side of
+        # 0 in every cell
+        cfg = SweepConfig(
+            world=LatticeNoiseWorld((0.8, 0.2, 0.8, 0.2)),
+            stages=default_schedule(3),
+            loss=Loss(kind),
+            seed=3,
+            replications=2,
+        )
+        got = consistency_sweep(cfg)
+        want = ungrouped_sweep(cfg)
+        assert [(r.excess_risks.tolist(), r.failures) for r in got] == want
 
     def test_noisy_world_excess_shrinks(self):
         # coarse first stage cannot resolve the 4-cell noise pattern, later

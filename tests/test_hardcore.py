@@ -195,6 +195,14 @@ class TestOneLpCore:
             live[0] = True
             self.assert_matches_per_point(FeatureMatrix(fm.features, fm.labels, live / live.sum()))
 
+    def test_separator_of_a_subnormal_row_is_finite(self):
+        # the row's max-abs 5e-324 is scaled by 2^1073 for the LP, and its
+        # dual times 2^1073 alone overflows
+        fm = FeatureMatrix(np.array([[-5e-324]]), np.array([-1.0]))
+        mask, _, _, lam = hardcore._core_lp(fm)
+        assert not mask.any()
+        assert lam.tolist() == [0.5]
+
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-5])
     @pytest.mark.parametrize("core_frac", [0.0, 0.5, 1.0])
     def test_planted_inputs(self, scale, core_frac):

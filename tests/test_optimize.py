@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from conftest import (
     dual_scale_bracket,
-    full_row_coordinate_descent,
     grid_min_risk,
     random_sign_problem,
+    reference_coordinate_descent,
     reference_subgradient_descent,
 )
 from conftest import planted_problem as bench_planted_problem
@@ -287,9 +287,8 @@ class TestLineSearchOracle:
             optimize_module,
             "_line_search",
             # -y z_base is H lam exactly, as the labels are +-1; the
-            # oracle sums over all rows, where rows off the column add exactly
-            # 0, and bisects from 0 wherever the search starts
-            lambda fm, loss, z_base, feats_dir, rows=None, start=1.0: bisection_line_search(
+            # oracle bisects from 0 wherever the search starts
+            lambda fm, loss, z_base, feats_dir, start=1.0: bisection_line_search(
                 ray_slope(fm, loss, -fm.labels * z_base, feats_dir)
             ),
         )
@@ -488,8 +487,17 @@ def sparse_explicit_problems(count, seed):
 
 
 class TestRowRestriction:
-    """coordinate_descent evaluates the loss only on the chosen column's
-    nonzero rows; full_row_coordinate_descent is the all-rows loop."""
+    """coordinate_descent against reference_coordinate_descent, bit for bit,
+    on dense input and on input whose columns are 0 on many rows (lattice
+    cells, sparse tables)."""
+
+    @staticmethod
+    def assert_bit_identical(run, want):
+        assert (run.stop_reason, run.iterations, run.truncated_steps) == (
+            want.stop_reason, want.iterations, want.truncated_steps
+        )
+        for name in ("lam", "objective_trace", "grad_sup_trace", "norm_trace"):
+            assert getattr(run, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
     @pytest.mark.parametrize("shape", [(2000, 16, 200), (48, 6, 300)], ids=["2000x16", "48x6"])
@@ -498,20 +506,12 @@ class TestRowRestriction:
         fm = planted_problem(np.random.default_rng(m + n), m, n, 0.3)
         assert np.all(fm.features != 0.0)
         cfg = OptimizerConfig(max_iters=iters)
-        run = coordinate_descent(fm, loss, cfg)
-        want = full_row_coordinate_descent(fm, loss, cfg)
-        assert (run.stop_reason, run.iterations, run.truncated_steps) == (
-            want.stop_reason, want.iterations, want.truncated_steps
+        self.assert_bit_identical(
+            coordinate_descent(fm, loss, cfg), reference_coordinate_descent(fm, loss, cfg)
         )
-        assert np.array_equal(run.lam, want.lam)
-        assert np.array_equal(run.objective_trace, want.objective_trace)
-        assert np.array_equal(run.grad_sup_trace, want.grad_sup_trace)
-        assert np.array_equal(run.norm_trace, want.norm_trace)
 
     @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
-    def test_sparse_input_within_tol(self, loss):
-        # leaving out the zero rows reorders the slope sums, so each step
-        # moves within the line search's tol = 1e-10
+    def test_sparse_input_is_bit_identical(self, loss):
         cases = list(itertools.product(
             lattice_problems() + sparse_explicit_problems(30, seed=8),
             [OptimizerConfig(max_iters=150), OptimizerConfig(max_iters=5)],
@@ -524,47 +524,9 @@ class TestRowRestriction:
         stops = set()
         for fm, cfg in cases:
             run = coordinate_descent(fm, loss, cfg)
-            want = full_row_coordinate_descent(fm, loss, cfg)
             stops.add((run.stop_reason, run.truncated_steps > 0))
-            assert run.stop_reason == want.stop_reason
-            assert run.iterations == want.iterations
-            assert run.truncated_steps == want.truncated_steps
-            np.testing.assert_allclose(run.lam, want.lam, rtol=0.0, atol=1e-8)
-            np.testing.assert_allclose(
-                run.objective_trace, want.objective_trace, rtol=0.0, atol=1e-11
-            )
+            self.assert_bit_identical(run, reference_coordinate_descent(fm, loss, cfg))
         assert {("gradient", False), ("iterations", False), ("iterations", True)} <= stops
-
-    def test_loss_runs_only_on_the_column_rows(self, monkeypatch):
-        fm = lattice_problems()[2]  # m = 4000 over 6 occupied cells
-        nonzero = np.count_nonzero(fm.features, axis=0)
-        assert nonzero.max() < fm.m // 3
-        derivatives, line_search = Loss.derivatives, optimize_module._line_search
-        subgradient = Loss.subgradient
-        column = {"nonzero": None}
-        lengths = {"derivatives": [], "subgradient": []}
-
-        def checked_line_search(fm, loss, z_base, feats_dir, *args, **kwargs):
-            column["nonzero"] = np.count_nonzero(feats_dir)
-            return line_search(fm, loss, z_base, feats_dir, *args, **kwargs)
-
-        def checked_derivatives(loss, z):
-            lengths["derivatives"].append(len(z))
-            assert len(z) <= column["nonzero"]
-            return derivatives(loss, z)
-
-        def checked_subgradient(loss, z):
-            lengths["subgradient"].append(len(z))
-            return subgradient(loss, z)
-
-        monkeypatch.setattr(optimize_module, "_line_search", checked_line_search)
-        monkeypatch.setattr(Loss, "derivatives", checked_derivatives)
-        monkeypatch.setattr(Loss, "subgradient", checked_subgradient)
-        run = coordinate_descent(fm, Loss("logistic"), OptimizerConfig(max_iters=50))
-        assert run.iterations > 4 and lengths["derivatives"]
-        # phi' is taken on all rows once at the start, then on one column's rows per step
-        assert lengths["subgradient"][0] == fm.m
-        assert max(lengths["subgradient"][1:]) <= nonzero.max()
 
 
 class TestOracleContract:
