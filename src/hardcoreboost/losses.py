@@ -6,9 +6,12 @@ and nonnegative conic combinations of logistic and exponential.  Each loss is
 convex, positive at the origin, and vanishes as z -> -infinity.
 
 Each base loss is one _Kernels record (_EXP, _LOGISTIC, _HINGE), where its
-per-kind formulas go.  The cone c1 logistic + c2 exp is composed from the
-logistic and exp kernels; its exp argument is clamped at
-min(EXP_CLAMP, ln(DBL_MAX / c2) - 1), which raises the saturation flag.
+per-kind formulas go, the minimizer of its conditional risk among them.  The
+cone c1 logistic + c2 exp is composed from the logistic and exp kernels; its
+exp argument is clamped at min(EXP_CLAMP, ln(DBL_MAX / c2) - 1), which raises
+the saturation flag.  Minimal conditional risks are priced at the closed-form
+minimizer of Bartlett, Jordan & McAuliffe (2006) where one exists; only the
+two-sided cone searches, inside the bracket its two parts' minimizers span.
 """
 
 import math
@@ -24,8 +27,9 @@ from ._scalar import bisect_root, golden_min
 # exp() arguments are clamped here to avoid silent infinities in risk sums.
 EXP_CLAMP = 700.0
 
-# Search bracket for the prediction that minimizes a conditional risk; the
-# conditional risk is convex in the prediction.
+# Conditional risks are minimized over predictions in [-B, B] for this B; a
+# conditional risk is convex in the prediction, so its minimizer bracket
+# clipped to [-B, B] holds the minimizer there.
 PREDICTION_BRACKET = 60.0
 
 
@@ -42,6 +46,9 @@ class _Kernels(NamedTuple):
     d12: Callable  # z -> (phi'(z), phi''(z)) from one pass
     conj: Callable  # a base phi* on [0, sup]; the loss's phi*(g) is w conj(g / w)
     sup: float  # sup of that base phi'
+    # (w_pos, w_neg) -> (lo, hi), a bracket holding the f that minimizes
+    # w_pos phi(-f) + w_neg phi(f), possibly infinite
+    minimizer: Callable
     w: float = 1.0
 
 
@@ -62,19 +69,36 @@ def _hinge_d12(z):
     raise UnsupportedLossError("hinge has no second derivative")
 
 
+def _log_ratio(w_pos, w_neg):
+    """ln w_pos - ln w_neg for masses >= 0: +-inf at one zero mass, 0 at equal ones.
+
+    A difference of logs, not the log of a quotient, which overflows or
+    underflows for far-apart masses."""
+    if w_pos == w_neg:
+        return 0.0
+    return (math.log(w_pos) if w_pos > 0 else -math.inf) - (
+        math.log(w_neg) if w_neg > 0 else -math.inf)
+
+
 _quiet = np.errstate(divide="ignore", invalid="ignore")  # 0 ln 0 = 0 in the conjugates
+# a base loss's minimizer is one point (Bartlett, Jordan & McAuliffe, 2006):
+# ln(w_pos / w_neg) / 2 for exp, ln(w_pos / w_neg) for logistic and
+# sign(w_pos - w_neg) for hinge
 _EXP = _Kernels(
     _exp_phi, _exp, _exp, lambda z: (_exp(z),) * 2,
     _quiet(lambda g: np.where(g > 0, g * np.log(g) - g, 0.0)), math.inf,
+    lambda wp, wn: (0.5 * _log_ratio(wp, wn),) * 2,
 )
 _LOGISTIC = _Kernels(
     lambda z: (np.logaddexp(0.0, z), False), expit, expit, _logistic_d12,
     _quiet(lambda g: np.where(g > 0, g * np.log(g), 0.0)
            + np.where(g < 1, (1.0 - g) * np.log1p(-g), 0.0)), 1.0,
+    lambda wp, wn: (_log_ratio(wp, wn),) * 2,
 )
 _HINGE = _Kernels(
     lambda z: (np.maximum(0.0, 1.0 + z), False), lambda z: (z > -1.0).astype(float),
     lambda z: np.where(z < -1.0, 0.0, 1.0), _hinge_d12, lambda g: -g, 1.0,
+    lambda wp, wn: (float(np.sign(wp - wn)),) * 2,
 )
 _BASE = {"exp": _EXP, "logistic": _LOGISTIC, "hinge": _HINGE}
 
@@ -82,8 +106,10 @@ _BASE = {"exp": _EXP, "logistic": _LOGISTIC, "hinge": _HINGE}
 def _cone(loss) -> _Kernels:
     """c1 logistic + c2 exp from the logistic and exp kernels.
 
-    A one-sided cone's conjugate is its base's, weighted; the two-sided one's
-    maximizers solve phi'(z) = g, all by one bisect_root call via loss.derivatives."""
+    A one-sided cone's conjugate and conditional minimizer are its base's,
+    the conjugate weighted; the two-sided one's conjugate maximizers solve
+    phi'(z) = g, all by one bisect_root call via loss.derivatives, and its
+    conditional minimizer lies between the logistic and the exp one."""
     c1, c2 = loss.c1, loss.c2
     clamp = min(EXP_CLAMP, math.log(sys.float_info.max / c2) - 1.0) if c2 > 0 else EXP_CLAMP
 
@@ -122,11 +148,17 @@ def _cone(loss) -> _Kernels:
         out[g > 0] = gz
         return out
 
+    def minimizer(w_pos, w_neg):
+        # below both parts' minimizers both conditional risks fall, and above
+        # both they rise, so the sum's minimizer lies between the two
+        a, b = _LOGISTIC.minimizer(w_pos, w_neg)[0], _EXP.minimizer(w_pos, w_neg)[0]
+        return min(a, b), max(a, b)
+
     if c2 == 0:
-        return _Kernels(phi, d1, d1, d12, _LOGISTIC.conj, _LOGISTIC.sup, c1)
+        return _Kernels(phi, d1, d1, d12, _LOGISTIC.conj, _LOGISTIC.sup, _LOGISTIC.minimizer, c1)
     if c1 == 0:
-        return _Kernels(phi, d1, d1, d12, _EXP.conj, _EXP.sup, c2)
-    return _Kernels(phi, d1, d1, d12, conj, math.inf)
+        return _Kernels(phi, d1, d1, d12, _EXP.conj, _EXP.sup, _EXP.minimizer, c2)
+    return _Kernels(phi, d1, d1, d12, conj, math.inf, minimizer)
 
 
 def _cone_start(c1, c2, g):
@@ -254,16 +286,21 @@ def psi_inverse_bound(loss: Loss, r: float) -> float:
 
 
 def _min_conditional_risk(loss: Loss, w_pos, w_neg, tol: float = 1e-10) -> float:
-    """min over f in [-B, B] of w_pos phi(-f) + w_neg phi(f), by golden section.
+    """min over f in [-B, B] of w_pos phi(-f) + w_neg phi(f), B = PREDICTION_BRACKET.
 
     With w_pos = eta and w_neg = 1 - eta this is the minimal conditional risk
     H(eta); with the label masses of one instance it is that instance's share
-    of the minimal surrogate risk.  B is PREDICTION_BRACKET.
+    of the minimal surrogate risk.  The loss's minimizer bracket, clipped to
+    [-B, B], is golden-searched to width tol: a base loss's or one-sided
+    cone's bracket is one point, priced by one probe, and only the two-sided
+    cone searches, between its logistic and exp minimizers.
     """
+    lo, hi = loss._k.minimizer(w_pos, w_neg)
+    b = PREDICTION_BRACKET
     _, v = golden_min(
         lambda f: w_pos * float(loss.value(-f)) + w_neg * float(loss.value(f)),
-        -PREDICTION_BRACKET,
-        PREDICTION_BRACKET,
+        min(max(lo, -b), b),
+        min(max(hi, -b), b),
         tol,
     )
     return v
@@ -274,8 +311,11 @@ def psi_numeric(loss: Loss, theta: float, tol: float = 1e-8) -> float:
 
     H(eta) is the minimal conditional risk over predictions, H^- the same
     infimum over predictions on the wrong side.  For a convex loss and
-    eta >= 1/2, H^-(eta) = phi(0) (Bartlett, Jordan & McAuliffe, 2006), so only
-    H is searched, for every kind.
+    eta >= 1/2, H^-(eta) = phi(0) (Bartlett, Jordan & McAuliffe, 2006), so
+    only H is computed, by _min_conditional_risk: at its closed-form
+    minimizer for exp, logistic, hinge and a one-sided cone, and by a golden
+    search to width tol between the logistic and exp minimizers for a
+    two-sided cone.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import importlib.util
 import itertools
 import math
@@ -237,15 +238,54 @@ def scalar_bisect_root(g, lo, hi, tol=1e-12, max_iter=400):
 
 
 def golden_conditional_min(loss, w_pos, w_neg, bracket=60.0, tol=1e-10):
-    """min_f w_pos phi(-f) + w_neg phi(f) by the inline golden-section loop the
-    Bayes surrogate oracle and the sweep target used; the shared helper must
-    match it bit for bit."""
+    """min_f w_pos phi(-f) + w_neg phi(f) by a golden-section search of the
+    full bracket [-60, 60], the search every kind took before the kernels
+    bracketed the minimizer."""
     from hardcoreboost._scalar import golden_min
 
     _, v = golden_min(
         lambda f: w_pos * float(loss.value(-f)) + w_neg * float(loss.value(f)),
         -bracket, bracket, tol,
     )
+    return v
+
+
+def exact_conditional_min(kind, w_pos, w_neg):
+    """min over all real f of w_pos phi(-f) + w_neg phi(f) for masses > 0, to
+    50 digits and then rounded: 2 sqrt(w+ w-) for exp, (w+ + w-) h(w+ / (w+ +
+    w-)) for logistic, h the binary entropy in nats, and 2 min(w+, w-) for
+    hinge (Bartlett, Jordan & McAuliffe, 2006)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p, n = decimal.Decimal(w_pos), decimal.Decimal(w_neg)
+        return float({
+            "exp": lambda: 2 * (p * n).sqrt(),
+            "logistic": lambda: p * ((p + n) / p).ln() + n * ((p + n) / n).ln(),
+            "hinge": lambda: 2 * min(p, n),
+        }[kind]())
+
+
+def checked_conditional_min(loss, w_pos, w_neg):
+    """losses._min_conditional_risk(loss, w_pos, w_neg), asserted against its
+    oracles and returned.
+
+    It lies at most 4 ulps above golden_conditional_min and at most
+    1e-12 (w+ + w-) below it; at the hinge's kink the golden value misses
+    the minimum by up to its tol (1e-10) times the slope, so the hinge's
+    lower slack is 1e-10 (w+ + w-).  For exp, logistic and hinge with both masses positive
+    and |ln w+ - ln w-| <= 60, so that the minimizer lies in the bracket,
+    it is within 4 ulps (relative) of exact_conditional_min.
+    """
+    from hardcoreboost.losses import _min_conditional_risk
+
+    v = _min_conditional_risk(loss, w_pos, w_neg)
+    golden = golden_conditional_min(loss, w_pos, w_neg)
+    slack = (1e-10 if loss.kind == "hinge" else 1e-12) * (w_pos + w_neg)
+    assert golden - slack <= v <= golden + 4 * math.ulp(golden), (loss, w_pos, w_neg)
+    if (loss.kind != "cone" and w_pos > 0 and w_neg > 0
+            and abs(math.log(w_pos) - math.log(w_neg)) <= 60.0):
+        want = exact_conditional_min(loss.kind, w_pos, w_neg)
+        assert abs(v - want) <= 4 * np.finfo(float).eps * want, (loss, w_pos, w_neg)
     return v
 
 

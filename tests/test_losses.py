@@ -5,14 +5,23 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import dual_scale_bracket, planted_problem, scalar_bisect_root, two_search_psi
+from conftest import (
+    dual_scale_bracket,
+    golden_conditional_min,
+    planted_problem,
+    scalar_bisect_root,
+    two_search_psi,
+)
 from hypothesis import strategies as st
 
-from hardcoreboost import FeatureMatrix, compute_hardcore
+from hardcoreboost import FeatureMatrix, compute_hardcore, losses
+from hardcoreboost._scalar import golden_min
 from hardcoreboost.losses import (
     EXP_CLAMP,
+    PREDICTION_BRACKET,
     Loss,
     UnsupportedLossError,
+    _min_conditional_risk,
     _scalar_like,
     parse_loss,
     psi_inverse_bound,
@@ -417,7 +426,7 @@ class TestPsiNumeric:
             psi_numeric(Loss("exp"), 1.5)
 
     def test_closed_forms_on_a_fine_grid(self):
-        # H^- = phi(0) exactly, so only the minimal conditional risk H is searched
+        # H^- = phi(0) exactly, so only the minimal conditional risk H is computed
         thetas = np.linspace(0, 1, 101)
         for theta in thetas:
             eta = (1.0 + theta) / 2.0
@@ -425,8 +434,8 @@ class TestPsiNumeric:
             exp_psi = 1.0 - math.sqrt(1.0 - theta * theta)
             assert abs(psi_numeric(Loss("exp"), theta) - exp_psi) <= 1e-12
             assert abs(psi_numeric(Loss("logistic"), theta) - (math.log(2) - entropy)) <= 1e-12
-            hinge = psi_numeric(Loss("hinge"), theta)
-            assert theta - 1e-9 <= hinge <= theta
+            # 1 - 2 (1 - eta) at the exact minimizer f = 1, a few roundings off theta
+            assert abs(psi_numeric(Loss("hinge"), theta) - theta) <= 4 * np.finfo(float).eps
 
     @pytest.mark.parametrize("c1, c2", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.1)])
     def test_cone_agrees_with_two_search_routine(self, c1, c2):
@@ -443,6 +452,68 @@ class TestPsiNumeric:
         for theta in np.linspace(0.05, 0.95, 10):
             assert psi_numeric(Loss("exp"), theta) >= (theta / 2.0) ** 2 - 1e-8
             assert psi_numeric(Loss("logistic"), theta) >= (theta / 4.0) ** 2 - 1e-8
+
+
+class TestMinConditionalRisk:
+    ONE_POINT = [Loss("exp"), Loss("logistic"), Loss("hinge")] + ONE_SIDED_CONES
+    # one zero mass, a subnormal against 1, and two equal tiny masses
+    EDGE_MASSES = [(1.0, 0.0), (0.0, 1.0), (5e-324, 1.0), (1.0, 5e-324), (1e-300, 1e-300)]
+
+    @pytest.mark.parametrize("loss", ONE_POINT, ids=str)
+    def test_one_point_bracket_costs_one_probe(self, loss, monkeypatch):
+        calls = []
+        value = Loss.value
+
+        def counted(self, z):
+            calls.append(z)
+            return value(self, z)
+
+        monkeypatch.setattr(Loss, "value", counted)
+        for wp, wn in [(0.5, 0.5), (0.9, 0.1), (0.02, 0.3), (1.0, 0.0), (3e-7, 2.0)]:
+            calls.clear()
+            _min_conditional_risk(loss, wp, wn)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "c1, c2", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.1), (1e-3, 1e3), (1e3, 1e-3)]
+    )
+    def test_cone_bracket_holds_the_full_bracket_argmin(self, c1, c2):
+        loss = Loss("cone", c1=c1, c2=c2)
+        tol = 1e-10
+        for eta in np.linspace(0.0, 1.0, 41)[1:-1]:
+            lo, hi = loss._k.minimizer(eta, 1.0 - eta)
+            assert lo <= hi
+
+            def slope(f):
+                return (1.0 - eta) * loss.subgradient(f) - eta * loss.subgradient(-f)
+
+            # the conditional risk falls into the bracket and rises out of it
+            assert slope(lo) <= 0.0 <= slope(hi)
+            x, v = golden_min(
+                lambda f: eta * float(loss.value(-f)) + (1.0 - eta) * float(loss.value(f)),
+                -PREDICTION_BRACKET, PREDICTION_BRACKET, tol,
+            )
+            # the full search's argmin is only sharp to about sqrt(eps), where
+            # values near the minimum tie in doubles
+            assert lo - 1e-6 <= x <= hi + 1e-6
+            assert abs(_min_conditional_risk(loss, eta, 1.0 - eta, tol) - v) <= 1e-12
+
+    @pytest.mark.parametrize("loss", ALL_KINDS + ONE_SIDED_CONES, ids=str)
+    @pytest.mark.parametrize("w_pos, w_neg", EDGE_MASSES)
+    def test_edge_masses(self, loss, w_pos, w_neg, monkeypatch):
+        # a RuntimeWarning fails the test (pyproject's filterwarnings)
+        brackets = []
+
+        def spied_golden_min(f, lo, hi, tol):
+            brackets.append((lo, hi))
+            return golden_min(f, lo, hi, tol)
+
+        monkeypatch.setattr(losses, "golden_min", spied_golden_min)
+        for wp, wn in [(w_pos, w_neg), (np.float64(w_pos), np.float64(w_neg))]:
+            v = _min_conditional_risk(loss, wp, wn)
+            assert -PREDICTION_BRACKET <= brackets[-1][0] <= brackets[-1][1] <= PREDICTION_BRACKET
+            golden = golden_conditional_min(loss, wp, wn)
+            assert math.isfinite(v) and 0.0 <= v <= golden + 4 * math.ulp(golden)
 
 
 class TestParsing:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import scalar_bisect_root
+from conftest import scalar_bisect_root, two_search_psi
 
 from hardcoreboost import losses
 from hardcoreboost._scalar import bisect_root, golden_min
@@ -167,6 +167,8 @@ class TestGoldenMin:
             return golden_min(searches[-1], lo, hi, tol)
 
         monkeypatch.setattr(losses, "golden_min", spied_golden_min)
-        psi = psi_numeric(Loss("exp"), 0.5, tol=1e-17)
-        assert len(searches) == 1
-        assert psi == pytest.approx(1.0 - math.sqrt(0.75), abs=1e-12)
+        # the two-sided cone still searches its bracket, [ln 3 / 2, ln 3] at eta = 3/4
+        loss = Loss("cone", c1=1.0, c2=1.0)
+        psi = psi_numeric(loss, 0.5, tol=1e-17)
+        assert len(searches) == 1 and searches[0].calls > 2
+        assert psi == pytest.approx(two_search_psi(loss, 0.5), abs=1e-8)
