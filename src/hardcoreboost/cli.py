@@ -81,6 +81,7 @@ def cmd_train(args) -> dict:
         "iterations": run.iterations,
         "stop_reason": run.stop_reason,
         "truncated_steps": run.truncated_steps,
+        "slope_evaluations": run.slope_evaluations,
     }
     if args.trace:
         # a report JSON cannot carry fails here, before the trace is written

@@ -4,15 +4,19 @@ Two methods are provided: subgradient descent for the hinge loss (Lipschitz
 and infimum-attaining) and greedy coordinate descent with exact line search
 for the exponential/logistic cone (the AdaBoost regime).  The line search
 is a safeguarded Newton iteration on the slope, using the loss's second
-derivative, that certifies a sign change on a bracket of width tol.  It
+derivative, that certifies a sign change on a bracket of width tol / 2 and
+returns the last point it evaluated, with that pass's margins and phi'.  It
 first probes min(1, 2 s) for the last untruncated step s along the same
 column, since steps along a column shrink as the descent converges; when
 the slope there is still negative, the search goes on from 1 as without
-that probe, so truncation at STEP_CAP is decided on the same points.  Each
-iteration of either method forms the margins H lam once and takes the
-objective and the gradient from them, with -y and w (-y) formed once per
-run (exact, as the labels are +-1).  Dual lower bounds from decorrelating
-reweightings turn iterates into suboptimality certificates.
+that probe, so truncation at STEP_CAP is decided on the same points.
+Coordinate descent carries z = -y (H lam) and phi'(z) from one search to
+the next, so a step costs one loss value pass beyond its search, and takes
+its final objective from lam; subgradient descent forms H lam once per
+iteration.  -y, w (-y) and the columns of -y H and w H^2 are formed once
+per run (exact, as the labels are +-1), and every risk is one dot product
+w @ phi(z).  Dual lower bounds from decorrelating reweightings turn
+iterates into suboptimality certificates.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ class OptimizerConfig:
         # every check is written so that NaN fails it
         if self.method not in ("subgradient", "coordinate"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        # a bool is an Integral, but True is no iteration count
+        if not (isinstance(self.max_iters, numbers.Integral)
+                and not isinstance(self.max_iters, bool) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol >= 0.0:
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol!r}")
@@ -63,12 +69,13 @@ class OptRun:
     stop_reason: str  # "gradient" | "iterations" | "target"
     iterations: int
     truncated_steps: int = 0
+    slope_evaluations: int = 0  # loss passes made by the line searches
 
 
-# Both optimizers form z = -y (H lam) once per iteration and take the
-# objective and the gradient at lam from phi(z) and phi'(z).
+# Both optimizers take the objective and the gradient at lam from phi(z) and
+# phi'(z), z = -y (H lam); the risk is one dot product, as surrogate_risk's.
 def _objective(fm: FeatureMatrix, val: np.ndarray) -> float:
-    return float(np.sum(fm.weights * val))
+    return float(fm.weights @ val)
 
 
 def _signs(fm: FeatureMatrix):
@@ -121,63 +128,72 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
 
 
 def _line_search(
-    fm: FeatureMatrix, loss: Loss, z_base, feats_dir, tol: float = 1e-10, *, start: float = 1.0
+    loss: Loss, w_neg_y, z_base, feats_dir, z_dir, w_dir_sq, tol: float = 1e-10, *,
+    start: float = 1.0,
 ):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
     The ray starts at lam with z_base = -y (H lam) and moves along a
-    direction d with feats_dir = H d.
+    direction d with feats_dir = H d, z_dir = -y (H d) and
+    w_dir_sq = w (H d)^2; w_neg_y is w (-y).  The labels are +-1, so every
+    slope rounds as -y (H lam + s H d) and w phi'(z) (-y) would.
 
-    Returns (step, truncated).  The first slope is taken at start, in
-    (0, 1]: a nonnegative one there brackets the minimum in [0, start].  A
-    negative one makes start the bracket's low end and the bracket grows
-    geometrically from 1, as it does for start = 1; when the slope stays
-    negative out to STEP_CAP the step is truncated there.  Inside the
-    bracket lo < hi, slope(lo) < 0 <= slope(hi), where lo may be the
-    unevaluated start of the ray.  A Newton step from the last point is
+    Returns (step, truncated, z, d1, passes): z = z_base + step z_dir and
+    d1 = phi'(z) from the slope pass at step (both None where no pass was
+    made there), and the number of slope passes.  The first slope is taken
+    at start, in (0, 1]: a nonnegative one there brackets the minimum in
+    [0, start].  A negative one makes start the bracket's low end and the
+    bracket grows geometrically from 1, as it does for start = 1; when the
+    slope stays negative out to STEP_CAP the step is truncated there.
+    Inside the bracket lo < hi, slope(lo) < 0 <= slope(hi), where lo may be
+    the unevaluated start of the ray.  A Newton step from the last point is
     taken when it lands strictly inside the bracket and is at most half the
     step before last (the rtsafe rule); otherwise the bracket is bisected.
-    A Newton step shorter than tol / 2 is carried tol / 4 past its root, so
-    one more slope certifies a sign change on a bracket of width <= tol.
-    That bracket's midpoint is returned, as a bisection to width tol would;
-    a bracket whose ends are adjacent doubles ends the search as well.
+    A Newton step shorter than tol / 4 is carried tol / 8 past its root, so
+    one more slope certifies a sign change on a bracket of width <= tol / 2.
+    The last point evaluated, an end of that bracket, is returned: like the
+    midpoint of a bisection to width tol, it is within tol / 2 of the
+    minimum.  A bracket whose ends are adjacent doubles ends the search at
+    its midpoint, one of the two.
     """
-    neg_y, w_neg_y = _signs(fm)
-    # Labels are +-1, so these products are exact and every slope rounds as
-    # -y * (H lam + s H d) and w * phi'(z) * (-y) would.
-    z_dir = neg_y * feats_dir
-    w_dir_sq = fm.weights * (feats_dir * feats_dir)
+    half_tol = 0.5 * tol
+    passes = 0
 
-    def slope_curvature(s: float) -> tuple[float, float]:
-        d1, d2 = loss.derivatives(z_base + s * z_dir)
-        return float((w_neg_y * d1) @ feats_dir), float(w_dir_sq @ d2)
+    def evaluate(s: float):
+        nonlocal passes
+        passes += 1
+        z = z_base + s * z_dir
+        d1, d2 = loss.derivatives(z)
+        return z, d1, float((w_neg_y * d1) @ feats_dir), float(w_dir_sq @ d2)
 
     lo, hi = 0.0, start
-    f, df = slope_curvature(hi)
+    z, d1, f, df = evaluate(hi)
     while f < 0.0:
         lo, hi = hi, (2.0 * hi if hi >= 1.0 else 1.0)
         if hi >= STEP_CAP:
-            return STEP_CAP, True
-        f, df = slope_curvature(hi)
+            return STEP_CAP, True, None, None, passes
+        z, d1, f, df = evaluate(hi)
     s = hi
     last = before_last = math.inf
-    while hi - lo > tol:
+    while hi - lo > half_tol:
         dx = f / df if df > 0.0 else math.inf
         x = s - dx
-        if abs(dx) <= 0.5 * tol:
-            x += -0.25 * tol if f >= 0.0 else 0.25 * tol
+        if abs(dx) <= 0.5 * half_tol:
+            x += -0.25 * half_tol if f >= 0.0 else 0.25 * half_tol
         if not (lo < x < hi and abs(x - s) <= 0.5 * before_last):
             x = 0.5 * (lo + hi)
-            if not lo < x < hi:
-                break  # lo and hi are adjacent doubles
+            if not lo < x < hi:  # lo and hi are adjacent doubles
+                if x != s:
+                    z = d1 = None  # the last pass was at the other end
+                return x, False, z, d1, passes
         before_last, last = last, abs(x - s)
         s = x
-        f, df = slope_curvature(s)
+        z, d1, f, df = evaluate(s)
         if f < 0.0:
             lo = s
         else:
             hi = s
-    return 0.5 * (lo + hi), False
+    return s, False, z, d1, passes
 
 
 def coordinate_descent(
@@ -194,7 +210,10 @@ def coordinate_descent(
     lowest index) and minimizes exactly along it.  Stops once the objective
     is at most target, on a small full gradient, or at the iteration budget.
     Each line search along column i starts at twice the last untruncated
-    step along it, capped at 1.
+    step along it, capped at 1.  The margins z = -y (H lam) and phi'(z) are
+    carried from each search's last pass to the next step, and rebuilt from
+    lam only after a search that returns a point it did not evaluate; the
+    returned objective, the trace's last entry, is surrogate_risk at lam.
     """
     if loss.kind not in ("exp", "logistic", "cone"):
         raise UnsupportedLossError("coordinate descent supports exp/logistic/cone losses")
@@ -203,35 +222,48 @@ def coordinate_descent(
         raise ValueError("init must be finite")
     z = -margins(fm, lam)  # raises on a wrong-length init
     neg_y, w_neg_y = _signs(fm)
-    val, d1 = loss.value(z), loss.subgradient(z)
-    objs = [_objective(fm, val)]
+    # row i holds -y H e_i and w (H e_i)^2: a search along +-e_i takes its
+    # z_dir by an exact sign flip and its w_dir_sq as it is
+    z_cols = np.ascontiguousarray((neg_y[:, None] * fm.features).T)
+    w_sq_cols = np.ascontiguousarray((fm.weights[:, None] * (fm.features * fm.features)).T)
+    d1 = loss.subgradient(z)
+    objs = [_objective(fm, loss.value(z))]
     starts = [1.0] * fm.n  # column -> where its next line search starts, in (0, 1]
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
-    truncated = 0
+    truncated = slopes = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if target is not None and objs[-1] <= target:
             stop = "target"
             break
         g = fm.features.T @ (w_neg_y * d1)
-        sup = float(np.abs(g).max(initial=0.0))
+        abs_g = np.abs(g)
+        sup = float(abs_g.max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
-        i = int(np.argmax(np.abs(g)))
+        i = int(np.argmax(abs_g))
         sign = -math.copysign(1.0, g[i])
-        step, was_truncated = _line_search(fm, loss, z, sign * fm.features[:, i], start=starts[i])
+        step, was_truncated, z_step, d1_step, passes = _line_search(
+            loss, w_neg_y, z, sign * fm.features[:, i], sign * z_cols[i], w_sq_cols[i],
+            start=starts[i],
+        )
         truncated += was_truncated
+        slopes += passes
         if not was_truncated and step > 0.0:
             starts[i] = min(1.0, 2.0 * step)
         lam[i] += step * sign
-        z = neg_y * (fm.features @ lam)
-        val, d1 = loss.value(z), loss.subgradient(z)
-        objs.append(_objective(fm, val))
+        if z_step is None:
+            z = neg_y * (fm.features @ lam)
+            d1 = loss.subgradient(z)
+        else:
+            z, d1 = z_step, d1_step
+        objs.append(_objective(fm, loss.value(z)))
         norms.append(float(np.abs(lam).sum()))
+    objs[-1] = surrogate_risk(fm, lam, loss)
     return OptRun(
         lam,
         objs[-1],
@@ -241,6 +273,7 @@ def coordinate_descent(
         stop,
         it,
         truncated_steps=truncated,
+        slope_evaluations=slopes,
     )
 
 

@@ -79,7 +79,7 @@ def surrogate_risk_saturated(
     z = -margins(fm, lam)
     mask = region_to_mask(region, fm.m)
     values, saturated = loss.value_saturated(z[mask])
-    return float(np.sum(fm.weights[mask] * values)), saturated
+    return float(fm.weights[mask] @ values), saturated
 
 
 def classification_risk(fm: FeatureMatrix, lam, region=None) -> float:

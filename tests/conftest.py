@@ -356,12 +356,15 @@ def two_search_psi(loss, theta, tol=1e-8):
 
 
 def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
-    """The coordinate-descent loop that signs through risk.margins at every
-    step: z = -(y (H lam)) and the gradient H^T (w phi'(z) (-y)) formed from
-    the labels each iteration, and lam rebuilt from a direction vector rather
-    than updated in place.  Each line search along a column starts, as there,
-    at twice the last untruncated step along it, capped at 1.
-    coordinate_descent must agree with it bit for bit."""
+    """The coordinate-descent loop that signs through the labels at every
+    step: the gradient H^T (w phi'(z) (-y)) formed from them and phi'(z) from
+    loss.subgradient each iteration, each line search's ray formed from the
+    column, and lam rebuilt from a direction vector rather than updated in
+    place.  As there, z is carried from the search's last pass, and rebuilt
+    by risk.margins after a search that returns none; each line search along
+    a column starts at twice the last untruncated step along it, capped at 1;
+    the final objective is surrogate_risk at lam.  coordinate_descent must
+    agree with it bit for bit."""
     import math
 
     from hardcoreboost.optimize import OptRun, _line_search
@@ -374,7 +377,7 @@ def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
     grads = []
     norms = [float(np.abs(lam).sum())]
     stop = "iterations"
-    truncated = 0
+    truncated = slopes = 0
     it = 0
     for it in range(1, cfg.max_iters + 1):
         if target is not None and objs[-1] <= target:
@@ -389,26 +392,31 @@ def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
         i = int(np.argmax(np.abs(g)))
         direction = np.zeros(fm.n)
         direction[i] = -math.copysign(1.0, g[i])
-        step, was_truncated = _line_search(
-            fm, loss, z, direction[i] * fm.features[:, i], start=starts[i]
+        feats_dir = direction[i] * fm.features[:, i]
+        step, was_truncated, z_step, _, passes = _line_search(
+            loss, fm.weights * -fm.labels, z, feats_dir, -fm.labels * feats_dir,
+            fm.weights * (feats_dir * feats_dir), start=starts[i],
         )
         truncated += was_truncated
+        slopes += passes
         if not was_truncated and step > 0.0:
             starts[i] = min(1.0, 2.0 * step)
         lam = lam + step * direction
-        z = -margins(fm, lam)
-        objs.append(float(np.sum(fm.weights * loss.value(z))))
+        z = -margins(fm, lam) if z_step is None else z_step
+        objs.append(float(fm.weights @ loss.value(z)))
         norms.append(float(np.abs(lam).sum()))
+    objs[-1] = surrogate_risk(fm, lam, loss)
     return OptRun(
         lam, objs[-1], np.array(objs), np.array(grads), np.array(norms), stop, it,
-        truncated_steps=truncated,
+        truncated_steps=truncated, slope_evaluations=slopes,
     )
 
 
 def reference_subgradient_descent(fm, loss, cfg):
     """The subgradient loop that signs through risk.margins at every step:
     z = -(y (H lam)) and the gradient H^T (w phi'(z) (-y)) formed from the
-    labels each iteration.  subgradient_descent must agree with it bit for bit."""
+    labels each iteration, and each risk summed as w @ phi(z), as
+    surrogate_risk sums it.  subgradient_descent must agree with it bit for bit."""
     import math
 
     from hardcoreboost.optimize import OptRun
@@ -432,7 +440,7 @@ def reference_subgradient_descent(fm, loss, cfg):
             break
         lam = lam - (cfg.step_scale / math.sqrt(it)) * g
         z = -margins(fm, lam)
-        obj = float(np.sum(fm.weights * loss.value(z)))
+        obj = float(fm.weights @ loss.value(z))
         objs.append(obj)
         norms.append(float(np.abs(lam).sum()))
         if obj < best_obj:

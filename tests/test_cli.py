@@ -175,6 +175,8 @@ class TestTrainCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["objective"] == pytest.approx(0.87024, abs=1e-4)
+        # every step makes at least one slope pass in its line search
+        assert report["slope_evaluations"] >= report["iterations"] - 1 > 0
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iter,objective,l1_norm,grad_sup_norm"
         assert len(lines) >= 2
@@ -189,6 +191,7 @@ class TestTrainCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["iterations"] == 3 and report["stop_reason"] == "iterations"
+        assert report["slope_evaluations"] == 0  # subgradient descent has no line search
         rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
         # the start and one row per step, each with the gradient taken there
         # except the last iterate's

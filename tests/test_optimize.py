@@ -102,9 +102,14 @@ def bisection_line_search(slope, tol=1e-10):
 
 
 def line_search(fm, loss, lam, direction, tol=1e-10, start=1.0):
-    """_line_search on the ray from lam along direction, as coordinate descent
-    calls it: with z_base = -y (H lam) and feats_dir = H direction."""
-    return _line_search(fm, loss, -margins(fm, lam), fm.features @ direction, tol, start=start)
+    """_line_search's (step, truncated) on the ray from lam along direction,
+    called as coordinate descent calls it: with z_base = -y (H lam),
+    feats_dir = H direction and the ray's -y feats_dir and w feats_dir^2."""
+    feats_dir = fm.features @ direction
+    return _line_search(
+        loss, fm.weights * -fm.labels, -margins(fm, lam), feats_dir, -fm.labels * feats_dir,
+        fm.weights * (feats_dir * feats_dir), tol, start=start,
+    )[:2]
 
 
 # the package's `optimize` attribute is the function, not the module
@@ -283,16 +288,18 @@ class TestLineSearchOracle:
         problems.append(FeatureMatrix(rng.uniform(-1, 1, (200, 6)), rng.choice([-1.0, 1.0], 200)))
         cfg = OptimizerConfig(max_iters=150)
         runs = [coordinate_descent(fm, loss, cfg) for fm in problems]
-        monkeypatch.setattr(
-            optimize_module,
-            "_line_search",
-            # -y z_base is H lam exactly, as the labels are +-1; the
-            # oracle bisects from 0 wherever the search starts
-            lambda fm, loss, z_base, feats_dir, start=1.0: bisection_line_search(
-                ray_slope(fm, loss, -fm.labels * z_base, feats_dir)
-            ),
-        )
         for fm, run in zip(problems, runs):
+            monkeypatch.setattr(
+                optimize_module,
+                "_line_search",
+                # -y z_base is H lam exactly, as the labels are +-1; the
+                # oracle bisects from 0 wherever the search starts, and
+                # returns no margins, so the descent rebuilds them from lam
+                lambda loss, w_neg_y, z_base, feats_dir, z_dir, w_dir_sq, start=1.0, fm=fm: (
+                    *bisection_line_search(ray_slope(fm, loss, -fm.labels * z_base, feats_dir)),
+                    None, None, 0,
+                ),
+            )
             want = coordinate_descent(fm, loss, cfg)
             assert run.stop_reason == want.stop_reason
             assert run.iterations == want.iterations
@@ -322,10 +329,13 @@ class TestLineSearchOracle:
 
         monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
         monkeypatch.setattr(optimize_module, "_line_search", counted_line_search)
-        for loss in CD_LOSSES:
-            coordinate_descent(fm, loss, OptimizerConfig(max_iters=100))
+        reported = sum(
+            coordinate_descent(fm, loss, OptimizerConfig(max_iters=100)).slope_evaluations
+            for loss in CD_LOSSES
+        )
         assert counts["searches"] == 300
         assert counts["slopes"] / counts["searches"] <= 8.0
+        assert reported == counts["slopes"]
 
     @pytest.mark.parametrize("spec, bound", [("exp", 5.0), ("logistic", 5.1)])
     def test_warm_start_saves_slope_passes(self, spec, bound, monkeypatch):
@@ -493,8 +503,8 @@ class TestRowRestriction:
 
     @staticmethod
     def assert_bit_identical(run, want):
-        assert (run.stop_reason, run.iterations, run.truncated_steps) == (
-            want.stop_reason, want.iterations, want.truncated_steps
+        assert (run.stop_reason, run.iterations, run.truncated_steps, run.slope_evaluations) == (
+            want.stop_reason, want.iterations, want.truncated_steps, want.slope_evaluations
         )
         for name in ("lam", "objective_trace", "grad_sup_trace", "norm_trace"):
             assert getattr(run, name).tobytes() == getattr(want, name).tobytes(), name
@@ -527,6 +537,87 @@ class TestRowRestriction:
             stops.add((run.stop_reason, run.truncated_steps > 0))
             self.assert_bit_identical(run, reference_coordinate_descent(fm, loss, cfg))
         assert {("gradient", False), ("iterations", False), ("iterations", True)} <= stops
+
+
+class TestSavedPass:
+    """Coordinate descent takes each step's margins and phi' from its line
+    search's last pass: one loss value pass per step, no phi' pass beyond
+    the start's, and traces within rounding of a loop that rebuilds z from
+    lam at every step."""
+
+    PROBLEMS = [(2000, 16, 200), (48, 6, 300)]
+
+    @staticmethod
+    def problem(m, n):
+        return planted_problem(np.random.default_rng(m + n), m, n, 0.3)
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    @pytest.mark.parametrize("shape", PROBLEMS, ids=["2000x16", "48x6"])
+    def test_one_value_pass_per_step(self, loss, shape, monkeypatch):
+        m, n, iters = shape
+        fm = self.problem(m, n)
+        counts = {"value": 0, "subgradient": 0}
+        value_saturated, subgradient = Loss.value_saturated, Loss.subgradient
+
+        def counted_value_saturated(loss, z):  # Loss.value goes through it
+            counts["value"] += 1
+            return value_saturated(loss, z)
+
+        def counted_subgradient(loss, z):
+            counts["subgradient"] += 1
+            return subgradient(loss, z)
+
+        monkeypatch.setattr(Loss, "value_saturated", counted_value_saturated)
+        monkeypatch.setattr(Loss, "subgradient", counted_subgradient)
+        run = coordinate_descent(fm, loss, OptimizerConfig(max_iters=iters))
+        steps = len(run.norm_trace) - 1
+        assert steps > 0 and run.truncated_steps == 0
+        assert counts == {"value": steps + 2, "subgradient": 1}
+
+    @pytest.mark.parametrize("shape", PROBLEMS, ids=["2000x16", "48x6"])
+    def test_objective_is_the_risk_at_lambda(self, shape):
+        m, n, iters = shape
+        fm = self.problem(m, n)
+        for loss in CD_LOSSES:
+            run = coordinate_descent(fm, loss, OptimizerConfig(max_iters=iters))
+            assert run.objective == run.objective_trace[-1] == surrogate_risk(fm, run.lam, loss)
+        hinge = Loss("hinge")
+        run = subgradient_descent(fm, hinge, OptimizerConfig(method="subgradient", max_iters=iters))
+        assert run.objective == surrogate_risk(fm, run.lam, hinge)
+
+    @pytest.mark.parametrize("loss", CD_LOSSES, ids=lambda loss: loss.kind)
+    @pytest.mark.parametrize("shape", PROBLEMS, ids=["2000x16", "48x6"])
+    def test_carried_margins_match_a_rebuild(self, loss, shape, monkeypatch):
+        m, n, iters = shape
+        fm = self.problem(m, n)
+        cfg = OptimizerConfig(max_iters=iters)
+        line_search = optimize_module._line_search
+        carried = []
+
+        def recorded_line_search(*args, **kwargs):
+            result = line_search(*args, **kwargs)
+            carried.append(result[2])
+            return result
+
+        monkeypatch.setattr(optimize_module, "_line_search", recorded_line_search)
+        run = coordinate_descent(fm, loss, cfg)
+        # the last step's carried margins drift from -y (H lam) by rounding
+        # only: about 4e-15 of their largest entry after 2000 steps
+        z = -margins(fm, run.lam)
+        assert np.abs(carried[-1] - z).max() <= 1e-13 * np.abs(z).max()
+        # a search that hands back no margins makes the step rebuild them from lam
+        monkeypatch.setattr(
+            optimize_module, "_line_search",
+            lambda *args, **kwargs: (*line_search(*args, **kwargs)[:2], None, None, 0),
+        )
+        want = coordinate_descent(fm, loss, cfg)
+        assert (run.stop_reason, run.iterations, run.truncated_steps) == (
+            want.stop_reason, want.iterations, want.truncated_steps
+        )
+        # a slope that rounds to either sign at the 1-D minimum moves the
+        # step's last Newton point by tol / 4 = 2.5e-11, and the objective by
+        # the off-line gradient times that: up to 5e-12 of it here
+        np.testing.assert_allclose(run.objective_trace, want.objective_trace, rtol=1e-11, atol=0.0)
 
 
 class TestOracleContract:
@@ -832,15 +923,15 @@ def test_config_validation():
 
 @pytest.mark.parametrize("kwargs, name", [
     ({"max_iters": 2.5}, "max_iters"), ({"max_iters": math.nan}, "max_iters"),
-    ({"max_iters": -3}, "max_iters"),
+    ({"max_iters": -3}, "max_iters"), ({"max_iters": True}, "max_iters"),
     ({"grad_tol": math.nan}, "grad_tol"), ({"grad_tol": -1.0}, "grad_tol"),
     ({"step_scale": math.nan}, "step_scale"), ({"step_scale": -1.0}, "step_scale"),
     ({"step_scale": math.inf}, "step_scale"), ({"step_scale": 0.0}, "step_scale"),
 ], ids=str)
 def test_config_rejects_bad_values(kwargs, name):
-    # each was accepted: max_iters = 2.5 failed later in range(), a NaN
-    # grad_tol never stopped on the gradient, a NaN step scale made every
-    # iterate NaN
+    # each was accepted: max_iters = 2.5 failed later in range(), True ran
+    # one iteration, a NaN grad_tol never stopped on the gradient, a NaN
+    # step scale made every iterate NaN
     with pytest.raises(ValueError, match=name):
         OptimizerConfig(**kwargs)
 

@@ -104,7 +104,7 @@ class TestSurrogateRisk:
             for loss in (Loss("exp"), Loss("logistic"), Loss("hinge"), Loss("cone", 0.3, 2.5)):
                 values, flag = loss.value_saturated(-fm.labels * (fm.features @ lam))
                 assert surrogate_risk_saturated(fm, lam, loss) == (
-                    float(np.sum(fm.weights * values)), flag
+                    float(fm.weights @ values), flag
                 )
 
 
