@@ -60,6 +60,11 @@ def _exp_phi(z, clamp=EXP_CLAMP):
     return _exp(z, clamp), bool(np.any(z > clamp))
 
 
+def _softplus(z):
+    # ln(1 + e^z) as np.logaddexp(0, z) evaluates it, in vectorized ufuncs
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def _logistic_d12(z):
     s = expit(z)
     return s, s * (1.0 - s)
@@ -90,7 +95,7 @@ _EXP = _Kernels(
     lambda wp, wn: (0.5 * _log_ratio(wp, wn),) * 2,
 )
 _LOGISTIC = _Kernels(
-    lambda z: (np.logaddexp(0.0, z), False), expit, expit, _logistic_d12,
+    lambda z: (_softplus(z), False), expit, expit, _logistic_d12,
     _quiet(lambda g: np.where(g > 0, g * np.log(g), 0.0)
            + np.where(g < 1, (1.0 - g) * np.log1p(-g), 0.0)), 1.0,
     lambda wp, wn: (_log_ratio(wp, wn),) * 2,

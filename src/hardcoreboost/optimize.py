@@ -11,10 +11,13 @@ column, since steps along a column shrink as the descent converges; when
 the slope there is still negative, the search goes on from 1 as without
 that probe, so truncation at STEP_CAP is decided on the same points.
 Coordinate descent carries z = -y (H lam) and phi'(z) from one search to
-the next, so a step costs one loss value pass beyond its search, and takes
-its final objective from lam; subgradient descent forms H lam once per
-iteration.  -y, w (-y) and the columns of -y H and w H^2 are formed once
-per run (exact, as the labels are +-1), and every risk is one dot product
+the next, so a step costs one loss value pass beyond its search (none on
+the budget's last step), and takes its final objective from lam.  Per run
+it forms the columns of -y H, w (-y) H and w H^2 as rows of three tables:
+a search along +-e_i takes its ray and slope weights from row i by a sign
+flip, and each slope is one dot product with phi'.  Subgradient descent
+forms z = (-y H) lam once per iteration from a per-run table.  The labels
+are +-1, so every sign flip is exact, and every risk is one dot product
 w @ phi(z).  Dual lower bounds from decorrelating reweightings turn
 iterates into suboptimality certificates.
 """
@@ -87,7 +90,7 @@ def _signs(fm: FeatureMatrix):
 
 
 def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> OptRun:
-    """Projected-free subgradient descent from zero, tracking the best iterate."""
+    """Projection-free subgradient descent from zero, tracking the best iterate."""
     if loss.kind != "hinge":
         raise UnsupportedLossError(
             "subgradient descent requires a Lipschitz, infimum-attaining loss (hinge)"
@@ -97,21 +100,25 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
     best_obj = surrogate_risk(fm, lam, loss)
     z = -margins(fm, lam)
     neg_y, w_neg_y = _signs(fm)
+    # z = -y (H lam) is this table times lam: each row is a row of H with an
+    # exact sign flip, so it rounds as -(y (H lam)) does
+    neg_y_feats = neg_y[:, None] * fm.features
+    phi, d1 = loss._k.phi, loss._k.d1
     objs = [best_obj]
     grads = []
     norms = [0.0]
     stop = "iterations"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        g = fm.features.T @ (w_neg_y * loss.subgradient(z))
+        g = fm.features.T @ (w_neg_y * d1(z))
         sup = float(np.abs(g).max(initial=0.0))
         grads.append(sup)
         if sup <= cfg.grad_tol:
             stop = "gradient"
             break
         lam = lam - (cfg.step_scale / math.sqrt(it)) * g
-        z = neg_y * (fm.features @ lam)
-        obj = _objective(fm, loss.value(z))
+        z = neg_y_feats @ lam
+        obj = _objective(fm, phi(z)[0])
         objs.append(obj)
         norms.append(float(np.abs(lam).sum()))
         if obj < best_obj:
@@ -128,15 +135,15 @@ def subgradient_descent(fm: FeatureMatrix, loss: Loss, cfg: OptimizerConfig) -> 
 
 
 def _line_search(
-    loss: Loss, w_neg_y, z_base, feats_dir, z_dir, w_dir_sq, tol: float = 1e-10, *,
+    loss: Loss, w_z_dir, z_base, z_dir, w_dir_sq, tol: float = 1e-10, *,
     start: float = 1.0,
 ):
     """Exact 1-D minimization along a descent ray by safeguarded Newton on the slope.
 
     The ray starts at lam with z_base = -y (H lam) and moves along a
-    direction d with feats_dir = H d, z_dir = -y (H d) and
-    w_dir_sq = w (H d)^2; w_neg_y is w (-y).  The labels are +-1, so every
-    slope rounds as -y (H lam + s H d) and w phi'(z) (-y) would.
+    direction d with z_dir = -y (H d), w_z_dir = w z_dir and
+    w_dir_sq = w (H d)^2, all 1-d float arrays; the slope at step s is
+    w_z_dir @ phi'(z_base + s z_dir), and the curvature w_dir_sq @ phi''.
 
     Returns (step, truncated, z, d1, passes): z = z_base + step z_dir and
     d1 = phi'(z) from the slope pass at step (both None where no pass was
@@ -158,13 +165,14 @@ def _line_search(
     """
     half_tol = 0.5 * tol
     passes = 0
+    d12 = loss._k.d12  # z is a float array, so Loss.derivatives' wrapping is not needed
 
     def evaluate(s: float):
         nonlocal passes
         passes += 1
         z = z_base + s * z_dir
-        d1, d2 = loss.derivatives(z)
-        return z, d1, float((w_neg_y * d1) @ feats_dir), float(w_dir_sq @ d2)
+        d1, d2 = d12(z)
+        return z, d1, float(w_z_dir @ d1), float(w_dir_sq @ d2)
 
     lo, hi = 0.0, start
     z, d1, f, df = evaluate(hi)
@@ -222,9 +230,11 @@ def coordinate_descent(
         raise ValueError("init must be finite")
     z = -margins(fm, lam)  # raises on a wrong-length init
     neg_y, w_neg_y = _signs(fm)
-    # row i holds -y H e_i and w (H e_i)^2: a search along +-e_i takes its
-    # z_dir by an exact sign flip and its w_dir_sq as it is
+    # row i holds -y H e_i, w (-y) H e_i and w (H e_i)^2: a search along
+    # +-e_i takes its z_dir and w_z_dir by an exact sign flip and its
+    # w_dir_sq as it is
     z_cols = np.ascontiguousarray((neg_y[:, None] * fm.features).T)
+    w_z_cols = np.ascontiguousarray((w_neg_y[:, None] * fm.features).T)
     w_sq_cols = np.ascontiguousarray((fm.weights[:, None] * (fm.features * fm.features)).T)
     d1 = loss.subgradient(z)
     objs = [_objective(fm, loss.value(z))]
@@ -248,8 +258,7 @@ def coordinate_descent(
         i = int(np.argmax(abs_g))
         sign = -math.copysign(1.0, g[i])
         step, was_truncated, z_step, d1_step, passes = _line_search(
-            loss, w_neg_y, z, sign * fm.features[:, i], sign * z_cols[i], w_sq_cols[i],
-            start=starts[i],
+            loss, sign * w_z_cols[i], z, sign * z_cols[i], w_sq_cols[i], start=starts[i],
         )
         truncated += was_truncated
         slopes += passes
@@ -261,7 +270,8 @@ def coordinate_descent(
             d1 = loss.subgradient(z)
         else:
             z, d1 = z_step, d1_step
-        objs.append(_objective(fm, loss.value(z)))
+        # the last step's entry is surrogate_risk at lam, set below
+        objs.append(_objective(fm, loss.value(z)) if it < cfg.max_iters else math.nan)
         norms.append(float(np.abs(lam).sum()))
     objs[-1] = surrogate_risk(fm, lam, loss)
     return OptRun(

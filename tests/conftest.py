@@ -358,9 +358,9 @@ def two_search_psi(loss, theta, tol=1e-8):
 def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
     """The coordinate-descent loop that signs through the labels at every
     step: the gradient H^T (w phi'(z) (-y)) formed from them and phi'(z) from
-    loss.subgradient each iteration, each line search's ray formed from the
-    column, and lam rebuilt from a direction vector rather than updated in
-    place.  As there, z is carried from the search's last pass, and rebuilt
+    loss.subgradient each iteration, each line search's ray and its slope
+    weights +-(w (-y) H_i) formed from the column, and lam rebuilt from a
+    direction vector rather than updated in place.  As there, z is carried from the search's last pass, and rebuilt
     by risk.margins after a search that returns none; each line search along
     a column starts at twice the last untruncated step along it, capped at 1;
     the final objective is surrogate_risk at lam.  coordinate_descent must
@@ -394,8 +394,8 @@ def reference_coordinate_descent(fm, loss, cfg, init=None, target=None):
         direction[i] = -math.copysign(1.0, g[i])
         feats_dir = direction[i] * fm.features[:, i]
         step, was_truncated, z_step, _, passes = _line_search(
-            loss, fm.weights * -fm.labels, z, feats_dir, -fm.labels * feats_dir,
-            fm.weights * (feats_dir * feats_dir), start=starts[i],
+            loss, direction[i] * (fm.weights * -fm.labels * fm.features[:, i]), z,
+            -fm.labels * feats_dir, fm.weights * (feats_dir * feats_dir), start=starts[i],
         )
         truncated += was_truncated
         slopes += passes

@@ -223,6 +223,47 @@ class TestExtremeArguments:
             np.testing.assert_allclose(loss.value(z), softplus, rtol=1e-15, atol=0.0)
 
 
+def softplus_grid():
+    """[-800, 800] plus the points near 0 where ln(1 + e^z) -> ln 2,
+    +-subnormals, +-0 and +-inf."""
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072014e-308 / 2, 1e-300, 1e-200, 1e-17])
+    return np.concatenate([
+        np.linspace(-800.0, 800.0, 3201), np.linspace(-40.0, 40.0, 1601),
+        tiny, -tiny, [0.0, -0.0, np.inf, -np.inf],
+    ])
+
+
+def mp_cone_value(c1, c2, z):
+    """c1 ln(1 + e^z) + c2 e^z for one double z, at 50 digits, rounded to a double."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(z))
+        value = c1 * mpmath.log1p(mpmath.exp(x))
+        if c2 > 0:  # 0 e^inf would be nan
+            value += c2 * mpmath.exp(x)
+        return float(value)
+
+
+@pytest.mark.parametrize("spec", ["logistic", "cone:1,1", "cone:0.5,2"])
+def test_softplus_matches_a_50_digit_oracle(spec):
+    # the cone's exp term is checked where its clamp does not act
+    loss = parse_loss(spec)
+    z = softplus_grid()
+    if loss.kind == "cone":
+        z = z[z <= EXP_CLAMP]
+    c1, c2 = (1.0, 0.0) if loss.kind == "logistic" else (loss.c1, loss.c2)
+    want = np.array([mp_cone_value(c1, c2, zi) for zi in z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = loss.value(z)
+    assert np.all(got >= 0.0)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[~finite], want[~finite])
+    ulps = np.abs(got[finite] - want[finite]) / np.spacing(want[finite])
+    assert ulps.max() <= 4.0, z[finite][np.argmax(ulps)]
+
+
 class TestConjugate:
     def test_zero_is_zero_exactly(self):
         for loss in ALL_KINDS:

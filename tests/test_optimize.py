@@ -62,12 +62,15 @@ def planted_problem(rng, m, n, core_frac):
 
 def ray_slope(fm, loss, base, feats_dir):
     """The slope s -> d/ds risk on the ray H lam + s H d, with base = H lam and
-    feats_dir = H d, formed from scratch."""
+    feats_dir = H d, formed from scratch.  Its weights w (-y) H d multiply
+    phi' last, as the package's do: where phi' is subnormal (exp past
+    z = -708) the sign of the sum depends on that order, and this one
+    rounds each term into the subnormal range once."""
+    coeff = fm.weights * -fm.labels * feats_dir
 
     def slope(s):
         z = -fm.labels * (base + s * feats_dir)
-        coeff = fm.weights * loss.subgradient(z) * (-fm.labels)
-        return float(coeff @ feats_dir)
+        return float(coeff @ loss.subgradient(z))
 
     return slope
 
@@ -103,13 +106,28 @@ def bisection_line_search(slope, tol=1e-10):
 
 def line_search(fm, loss, lam, direction, tol=1e-10, start=1.0):
     """_line_search's (step, truncated) on the ray from lam along direction,
-    called as coordinate descent calls it: with z_base = -y (H lam),
-    feats_dir = H direction and the ray's -y feats_dir and w feats_dir^2."""
+    called as coordinate descent calls it: with z_base = -y (H lam) and,
+    for feats_dir = H direction, the ray's w (-y) feats_dir, -y feats_dir
+    and w feats_dir^2."""
     feats_dir = fm.features @ direction
     return _line_search(
-        loss, fm.weights * -fm.labels, -margins(fm, lam), feats_dir, -fm.labels * feats_dir,
+        loss, fm.weights * -fm.labels * feats_dir, -margins(fm, lam), -fm.labels * feats_dir,
         fm.weights * (feats_dir * feats_dir), tol, start=start,
     )[:2]
+
+
+def counting_slopes(loss, counts):
+    """A copy of loss whose phi', phi'' kernel, the line search's one loss
+    pass per slope, counts its calls in counts["slopes"]."""
+    kernels = loss._k
+
+    def d12(z):
+        counts["slopes"] += 1
+        return kernels.d12(z)
+
+    counted = Loss(loss.kind, loss.c1, loss.c2)
+    object.__setattr__(counted, "_k", kernels._replace(d12=d12))
+    return counted
 
 
 # the package's `optimize` attribute is the function, not the module
@@ -292,11 +310,14 @@ class TestLineSearchOracle:
             monkeypatch.setattr(
                 optimize_module,
                 "_line_search",
-                # -y z_base is H lam exactly, as the labels are +-1; the
-                # oracle bisects from 0 wherever the search starts, and
-                # returns no margins, so the descent rebuilds them from lam
-                lambda loss, w_neg_y, z_base, feats_dir, z_dir, w_dir_sq, start=1.0, fm=fm: (
-                    *bisection_line_search(ray_slope(fm, loss, -fm.labels * z_base, feats_dir)),
+                # -y z_base and -y z_dir are H lam and H d exactly, as the
+                # labels are +-1; the oracle bisects from 0 wherever the
+                # search starts, and returns no margins, so the descent
+                # rebuilds them from lam
+                lambda loss, w_z_dir, z_base, z_dir, w_dir_sq, start=1.0, fm=fm: (
+                    *bisection_line_search(
+                        ray_slope(fm, loss, -fm.labels * z_base, -fm.labels * z_dir)
+                    ),
                     None, None, 0,
                 ),
             )
@@ -317,20 +338,17 @@ class TestLineSearchOracle:
         # root to certify the bracket it needs about 11
         fm = planted_problem(np.random.default_rng(7), 2000, 16, 0.3)
         counts = {"slopes": 0, "searches": 0}
-        derivatives, line_search = Loss.derivatives, optimize_module._line_search
-
-        def counted_derivatives(loss, z):
-            counts["slopes"] += 1
-            return derivatives(loss, z)
+        line_search = optimize_module._line_search
 
         def counted_line_search(*args, **kwargs):
             counts["searches"] += 1
             return line_search(*args, **kwargs)
 
-        monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
         monkeypatch.setattr(optimize_module, "_line_search", counted_line_search)
         reported = sum(
-            coordinate_descent(fm, loss, OptimizerConfig(max_iters=100)).slope_evaluations
+            coordinate_descent(
+                fm, counting_slopes(loss, counts), OptimizerConfig(max_iters=100)
+            ).slope_evaluations
             for loss in CD_LOSSES
         )
         assert counts["searches"] == 300
@@ -344,19 +362,16 @@ class TestLineSearchOracle:
         # twice the column's last step takes about 4.3 and 4.6
         x, y, _ = bench_planted_problem(2000, 16, 0.3, np.random.default_rng(0))
         counts = {"slopes": 0, "searches": 0}
-        derivatives, line_search = Loss.derivatives, optimize_module._line_search
-
-        def counted_derivatives(loss, z):
-            counts["slopes"] += 1
-            return derivatives(loss, z)
+        line_search = optimize_module._line_search
 
         def counted_line_search(*args, **kwargs):
             counts["searches"] += 1
             return line_search(*args, **kwargs)
 
-        monkeypatch.setattr(Loss, "derivatives", counted_derivatives)
         monkeypatch.setattr(optimize_module, "_line_search", counted_line_search)
-        coordinate_descent(FeatureMatrix(x, y), Loss(spec), OptimizerConfig(max_iters=500))
+        coordinate_descent(
+            FeatureMatrix(x, y), counting_slopes(Loss(spec), counts), OptimizerConfig(max_iters=500)
+        )
         assert counts["searches"] == 500
         assert counts["slopes"] / counts["searches"] <= bound
 
@@ -541,9 +556,10 @@ class TestRowRestriction:
 
 class TestSavedPass:
     """Coordinate descent takes each step's margins and phi' from its line
-    search's last pass: one loss value pass per step, no phi' pass beyond
-    the start's, and traces within rounding of a loop that rebuilds z from
-    lam at every step."""
+    search's last pass: one loss value pass per step (none on the budget's
+    last, whose entry is the risk at lam), no phi' pass beyond the start's,
+    and traces within rounding of a loop that rebuilds z from lam at every
+    step."""
 
     PROBLEMS = [(2000, 16, 200), (48, 6, 300)]
 
@@ -571,8 +587,9 @@ class TestSavedPass:
         monkeypatch.setattr(Loss, "subgradient", counted_subgradient)
         run = coordinate_descent(fm, loss, OptimizerConfig(max_iters=iters))
         steps = len(run.norm_trace) - 1
-        assert steps > 0 and run.truncated_steps == 0
-        assert counts == {"value": steps + 2, "subgradient": 1}
+        assert steps > 0 and run.truncated_steps == 0 and run.stop_reason == "iterations"
+        # the start's pass, one per step but the budget's last, and the final risk at lam
+        assert counts == {"value": steps + 1, "subgradient": 1}
 
     @pytest.mark.parametrize("shape", PROBLEMS, ids=["2000x16", "48x6"])
     def test_objective_is_the_risk_at_lambda(self, shape):
