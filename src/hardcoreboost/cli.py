@@ -53,12 +53,14 @@ def _field(obj, key, convert, path, default=None):
     """convert(obj[key]) for a JSON object obj read from path (default if absent).
 
     A missing key, or a value that convert rejects, is a ValueError naming
-    the file and the key.
+    the file and the key; convert=int takes JSON integers only, not 2.7 or true.
     """
     value = obj.get(key, default) if isinstance(obj, dict) else None
     if value is None:
         raise ValueError(f"{path}: missing key {key!r}")
     try:
+        if convert is int and type(value) is not int:
+            raise TypeError
         return convert(value)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: key {key!r} has an ill-typed value {value!r}") from None

@@ -2,20 +2,22 @@
 
 Covers the staggered separable construction whose max-margin solutions carry
 unbounded surrogate risk, exact-summation risk reports over finite worlds,
-and structural-risk-minimization consistency sweeps over the lattice family.
+and structural-risk-minimization consistency sweeps over the lattice family,
+which train each replication on its (cell, label) histogram.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hypotheses import LatticeCellClass, ProjectionClass
-from .losses import Loss, _min_conditional_risk
+from .losses import Loss
 from .lp import LinearProgram, solve
 from .optimize import OptimizerConfig, coordinate_descent
-from .risk import Sample, classification_risk, surrogate_risk_saturated
+from .risk import Sample, _min_surrogate_risk, classification_risk, surrogate_risk_saturated
 
 SWEEP_MAX_ITERS = 5000  # coordinate-descent budget per sweep replication
 
@@ -213,6 +215,10 @@ class SweepStage:
     class_index: int
     epsilon: float
 
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -223,8 +229,10 @@ class SweepConfig:
     replications: int = 20
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        # a bool is an Integral, but True is no replication count
+        if not (isinstance(self.replications, numbers.Integral)
+                and not isinstance(self.replications, bool) and self.replications >= 1):
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         ms = [s.m for s in self.stages]
         eps = [s.epsilon for s in self.stages]
         if any(b <= a for a, b in zip(ms, ms[1:])):
@@ -262,52 +270,34 @@ class StageResult:
         return float(np.quantile(self.excess_risks, 0.9)) if self.excess_risks.size else np.nan
 
 
-def _train_to_suboptimality(fm, cells, loss, epsilon):
-    """Coordinate descent until the empirical risk is epsilon-close to optimal.
-
-    Lattice features partition the sample by cell (cells[j] < 0 outside the
-    lattice), so the empirical optimum splits per cell and is computed exactly
-    to set the descent's target objective.
-    """
-    pos, neg = fm.labels > 0, fm.labels < 0
-    opt = 0.0
-    for c in np.unique(cells[cells >= 0]):
-        on = cells == c
-        wp = float(np.sum(fm.weights[on & pos]))
-        wn = float(np.sum(fm.weights[on & neg]))
-        opt += _min_conditional_risk(loss, wp, wn)
-    opt += float(np.sum(fm.weights[cells < 0] * loss.value(0.0)))
-
-    target = opt + epsilon
-    cfg = OptimizerConfig(max_iters=SWEEP_MAX_ITERS, grad_tol=1e-12)
-    run = coordinate_descent(fm, loss, cfg, target=target)
-    return run, run.objective <= target
-
-
 def consistency_sweep(cfg: SweepConfig) -> list[StageResult]:
     """Excess true classification risk per stage, across seeded replications.
 
     Lattice features are cell indicators, so the empirical risk depends on a
-    sample only through the mass of each (cell, label) pair: each
-    replication trains on one row per such group, carrying its summed mass.
+    sample only through the mass of each (cell, label) pair.  One histogram
+    over 2 cell + (y > 0) gives a replication its rows, one per nonempty bin
+    carrying the bin's mass, and its target: epsilon above the empirical
+    optimum, the per-cell minimal conditional risks summed.  A replication
+    whose coordinate descent misses the target counts as a failure.
     """
     results = []
     bayes = cfg.world.bayes_risk()
+    opt_cfg = OptimizerConfig(max_iters=SWEEP_MAX_ITERS, grad_tol=1e-12)
     for s_idx, stage in enumerate(cfg.stages, start=1):
         cls = LatticeCellClass(stage.class_index, 1)
-        excess = []
-        failures = 0
+        excess, failures = [], 0
         for rep in range(cfg.replications):
-            rng = np.random.default_rng((cfg.seed, s_idx, rep))
-            sample = cfg.world.sample(stage.m, rng)
-            cells = cls.cells(sample.x)
-            _, first, group = np.unique(
-                2 * cells + (sample.y > 0), return_index=True, return_inverse=True
-            )
-            mass = np.bincount(group, weights=sample.weights)
-            fm = cls.materialize(Sample(sample.x[first], sample.y[first], mass))
-            run, achieved = _train_to_suboptimality(fm, cells[first], cfg.loss, stage.epsilon)
-            if not achieved:
+            sample = cfg.world.sample(stage.m, np.random.default_rng((cfg.seed, s_idx, rep)))
+            keys = 2 * cls.cells(sample.x) + (sample.y > 0)
+            mass = np.bincount(keys, weights=sample.weights, minlength=2 * cls.n)
+            bins = np.flatnonzero(mass)
+            point = np.empty(mass.size, int)
+            point[keys] = np.arange(stage.m)  # some point of each nonempty bin
+            rows = point[bins]
+            fm = cls.materialize(Sample(sample.x[rows], sample.y[rows], mass[bins]))
+            target = _min_surrogate_risk(mass[1::2], mass[0::2], cfg.loss) + stage.epsilon
+            run = coordinate_descent(fm, cfg.loss, opt_cfg, target=target)
+            if not run.objective <= target:
                 failures += 1
                 continue
             excess.append(cfg.world.classification_risk(cls, run.lam) - bayes)

@@ -194,7 +194,8 @@ class Loss:
     """Descriptor for one member of the loss family.
 
     kind is one of "exp", "logistic", "hinge", "cone"; cone is
-    c1 * logistic + c2 * exp with c1, c2 >= 0 and c1 + c2 > 0.
+    c1 * logistic + c2 * exp with c1, c2 >= 0 and c1 + c2 > 0, and the
+    other kinds keep c1 = c2 = 0.
     """
 
     kind: str
@@ -207,6 +208,8 @@ class Loss:
                 raise UnsupportedLossError("cone requires finite c1, c2 >= 0 and c1 + c2 > 0")
             kernels = _cone(self)
         elif self.kind in _BASE:
+            if self.c1 != 0 or self.c2 != 0:
+                raise UnsupportedLossError(f"{self.kind} takes no cone weights c1, c2")
             kernels = _BASE[self.kind]
         else:
             raise UnsupportedLossError(f"unknown loss kind {self.kind!r}")

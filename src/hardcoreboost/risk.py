@@ -109,17 +109,21 @@ def bayes_risk_discrete(sample: Sample) -> float:
     return float(np.minimum(pos, neg).sum())
 
 
-def bayes_surrogate_risk(sample: Sample, loss: Loss, tol: float = 1e-10) -> float:
-    """Brute-force minimal surrogate risk over all predictors.
-
-    Minimizes the convex conditional risk per distinct instance.
-    """
-    pos, neg = _group_by_instance(sample)
+def _min_surrogate_risk(pos, neg, loss: Loss, tol: float = 1e-10) -> float:
+    """Sum over nonempty groups k of the minimal conditional risk at masses (pos[k], neg[k])."""
     total = 0.0
     for wp, wn in zip(pos, neg):
         if wp + wn > 0:
             total += _min_conditional_risk(loss, wp, wn, tol)
     return total
+
+
+def bayes_surrogate_risk(sample: Sample, loss: Loss, tol: float = 1e-10) -> float:
+    """Brute-force minimal surrogate risk over all predictors.
+
+    Minimizes the convex conditional risk per distinct instance.
+    """
+    return _min_surrogate_risk(*_group_by_instance(sample), loss, tol)
 
 
 def load_sample_csv(path: str) -> Sample:

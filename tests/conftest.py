@@ -453,22 +453,27 @@ def reference_subgradient_descent(fm, loss, cfg):
 def ungrouped_sweep(cfg):
     """consistency_sweep trained on one row per sample point.
 
-    Each replication draws the same sample, materializes the full
-    m x n lattice matrix and trains to the same target; returns the
+    Each replication draws the same sample, materializes the full m x n
+    lattice matrix, prices its target as the brute-force minimal surrogate
+    risk of the sample with each point replaced by its cell index, plus
+    epsilon, and runs coordinate descent with the sweep's budget; returns the
     per-stage (excess risks, failure count)."""
-    from hardcoreboost.experiments import _train_to_suboptimality
+    from hardcoreboost.experiments import SWEEP_MAX_ITERS
     from hardcoreboost.hypotheses import LatticeCellClass
+    from hardcoreboost.optimize import OptimizerConfig, coordinate_descent
+    from hardcoreboost.risk import Sample, bayes_surrogate_risk
 
+    opt_cfg = OptimizerConfig(max_iters=SWEEP_MAX_ITERS, grad_tol=1e-12)
     out = []
     for s_idx, stage in enumerate(cfg.stages, start=1):
         cls = LatticeCellClass(stage.class_index, 1)
         excess, failures = [], 0
         for rep in range(cfg.replications):
             sample = cfg.world.sample(stage.m, np.random.default_rng((cfg.seed, s_idx, rep)))
-            run, achieved = _train_to_suboptimality(
-                cls.materialize(sample), cls.cells(sample.x), cfg.loss, stage.epsilon
-            )
-            if achieved:
+            by_cell = Sample(cls.cells(sample.x)[:, None], sample.y, sample.weights)
+            target = bayes_surrogate_risk(by_cell, cfg.loss) + stage.epsilon
+            run = coordinate_descent(cls.materialize(sample), cfg.loss, opt_cfg, target=target)
+            if run.objective <= target:
                 excess.append(cfg.world.classification_risk(cls, run.lam) - cfg.world.bayes_risk())
             else:
                 failures += 1

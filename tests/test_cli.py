@@ -281,8 +281,21 @@ class TestSweepCommand:
             ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3}, "missing key 'stages'"),
             ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3, "stages": 5},
              "key 'stages' has an ill-typed value 5"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3, "replications": 2.7,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'replications' has an ill-typed value 2.7"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": True,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'seed' has an ill-typed value True"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3,
+              "stages": [{"m": 50.0, "class_index": 1, "epsilon": 0.01}]},
+             "key 'm' has an ill-typed value 50.0"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3,
+              "stages": [{"m": 50, "class_index": "1", "epsilon": 0.01}]},
+             "key 'class_index' has an ill-typed value '1'"),
         ],
-        ids=["no-stages", "scalar-stages"],
+        ids=["no-stages", "scalar-stages", "fractional-replications", "boolean-seed",
+             "float-m", "string-class-index"],
     )
     def test_malformed_config_domain_error(self, capsys, tmp_path, cfg, message):
         cfg_path = tmp_path / "sweep.json"
@@ -290,6 +303,23 @@ class TestSweepCommand:
         assert run(["sweep", "--config", str(cfg_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError", "message": f"{cfg_path}: {message}"}
+
+    @pytest.mark.parametrize("epsilon", [-0.5, math.nan])
+    def test_unreachable_epsilon_is_rejected(self, capsys, tmp_path, epsilon):
+        # every replication would miss its target and the row would read nan,nan,0
+        cfg = {
+            "world": {"cell_probs": [0.8, 0.2]},
+            "stages": [{"m": 50, "class_index": 1, "epsilon": epsilon}],
+            "seed": 3,
+            "replications": 2,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "epsilon" in err["message"]
 
     def test_stage_without_replications_writes_nan(self, tmp_path, monkeypatch):
         # every replication misses its target, so the stage keeps no risks

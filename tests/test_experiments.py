@@ -1,3 +1,4 @@
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -6,7 +7,6 @@ import pytest
 from conftest import (
     box_vertices,
     checked_conditional_min,
-    golden_conditional_min,
     lattice_risk_oracle,
     ungrouped_sweep,
 )
@@ -24,7 +24,7 @@ from hardcoreboost import (
     sample_world,
 )
 from hardcoreboost import experiments
-from hardcoreboost.experiments import STAGGERED_SEPARATOR, _train_to_suboptimality
+from hardcoreboost.experiments import STAGGERED_SEPARATOR
 from hardcoreboost.hypotheses import LatticeCellClass, ProjectionClass
 from hardcoreboost.losses import Loss, parse_loss
 from hardcoreboost.lp import LinearProgram, solve
@@ -367,6 +367,21 @@ class TestConsistencySweep:
         with pytest.raises(ValueError, match="replications"):
             SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01),), replications=0)
 
+    @pytest.mark.parametrize("replications", [2.7, True, 2.0])
+    def test_replications_must_be_an_integer(self, replications):
+        # 2.7 was truncated to 2 replications, and True ran one
+        w = LatticeNoiseWorld((0.8, 0.2))
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01),), replications=replications)
+        cfg = SweepConfig(world=w, stages=(SweepStage(100, 1, 0.01),), replications=np.int64(2))
+        assert cfg.replications == 2
+
+    @pytest.mark.parametrize("epsilon", [math.nan, -0.5, 0.0, -0.0, math.inf])
+    def test_stage_epsilon_must_be_positive_and_finite(self, epsilon):
+        # no descent can end at or below an empirical optimum minus |epsilon|
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SweepStage(100, 1, epsilon)
+
     def test_all_failed_stage_reports_nan(self, monkeypatch):
         monkeypatch.setattr(
             experiments, "coordinate_descent",
@@ -429,7 +444,7 @@ class TestConsistencySweep:
 
 def inline_sweep_target(fm, loss, epsilon, cell_min):
     """The sweep's target: per-cell optima by cell_min(loss, w+, w-), plus
-    phi(0) on points outside the lattice, plus epsilon."""
+    epsilon."""
     counts = fm.features.sum(axis=0)
     opt = 0.0
     for i in range(fm.n):
@@ -439,30 +454,33 @@ def inline_sweep_target(fm, loss, epsilon, cell_min):
         wp = float(np.sum(fm.weights[on & (fm.labels > 0)]))
         wn = float(np.sum(fm.weights[on & (fm.labels < 0)]))
         opt += cell_min(loss, wp, wn)
-    outside = fm.features.sum(axis=1) == 0
-    opt += float(np.sum(fm.weights[outside] * loss.value(0.0)))
     return opt + epsilon
 
 
 @pytest.mark.parametrize("spec", ["logistic", "exp", "cone:0.3,2.5"])
 def test_sweep_target_matches_inline_golden_loop(spec, monkeypatch):
-    targets = []
+    calls = []
 
-    def record_target(fm, loss, cfg, target):
-        targets.append(target)
-        return SimpleNamespace(objective=target)
+    def record(fm, loss, cfg, target):
+        calls.append((fm, target))
+        return SimpleNamespace(objective=target, lam=np.zeros(fm.n))
 
-    monkeypatch.setattr(experiments, "coordinate_descent", record_target)
+    monkeypatch.setattr(experiments, "coordinate_descent", record)
     loss = parse_loss(spec)
-    # the cone's bracketed search still lands on the full-bracket golden value
-    # here; a base kind's one probe is checked against its closed form
-    cell_min = golden_conditional_min if loss.kind == "cone" else checked_conditional_min
-    rng = np.random.default_rng(8)
-    for resolution in (1, 2, 3):
-        m = int(rng.integers(20, 200))
-        # instances beyond [-1, 1) fall outside the resolution-1 lattice
-        sample = Sample(rng.uniform(-1.5, 1.5, size=(m, 1)), rng.choice([-1.0, 1.0], size=m))
-        cls = LatticeCellClass(resolution, 1)
-        fm = cls.materialize(sample)
-        _train_to_suboptimality(fm, cls.cells(sample.x), loss, 1.0 / m)
-        assert targets[-1] == inline_sweep_target(fm, loss, 1.0 / m, cell_min)
+    # each cell's optimum is checked against the full-bracket golden search
+    # and, for a base kind, against its closed form
+    ms = sorted(np.random.default_rng(8).choice(np.arange(20, 200), size=3, replace=False).tolist())
+    # pure cells give one-label bins, and resolution 3 leaves cells empty
+    cfg = SweepConfig(
+        world=LatticeNoiseWorld((1.0, 0.7, 0.2, 0.0)),
+        stages=tuple(SweepStage(m, i, 1.0 / m) for i, m in enumerate(ms, start=1)),
+        loss=loss,
+        seed=8,
+        replications=2,
+    )
+    consistency_sweep(cfg)
+    stages = [stage for stage in cfg.stages for _ in range(cfg.replications)]
+    assert len(calls) == len(stages)
+    for (fm, target), stage in zip(calls, stages):
+        assert fm.n == LatticeCellClass(stage.class_index, 1).n
+        assert target == inline_sweep_target(fm, loss, stage.epsilon, checked_conditional_min)

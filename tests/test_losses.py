@@ -583,6 +583,13 @@ class TestParsing:
         with pytest.raises(UnsupportedLossError):
             Loss("cone", c1=0.0, c2=0.0)
 
+    @pytest.mark.parametrize("kind", ["exp", "logistic", "hinge"])
+    @pytest.mark.parametrize("c1, c2", [(5.0, 0.0), (0.0, 1.0), (math.nan, 0.0)])
+    def test_base_kind_takes_no_cone_weights(self, kind, c1, c2):
+        # such a loss would be the base loss yet compare unequal to it
+        with pytest.raises(UnsupportedLossError, match="no cone weights"):
+            Loss(kind, c1=c1, c2=c2)
+
     @pytest.mark.parametrize(
         "c1, c2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]
     )
