@@ -66,6 +66,20 @@ def _field(obj, key, convert, path, default=None):
         raise ValueError(f"{path}: key {key!r} has an ill-typed value {value!r}") from None
 
 
+def _number(value) -> float:
+    """float(value) for a JSON number; a bool or a string is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError
+    return float(value)
+
+
+def _numbers(value) -> tuple:
+    """A JSON array of numbers as a tuple of floats; anything else is a TypeError."""
+    if type(value) is not list:
+        raise TypeError
+    return tuple(map(_number, value))
+
+
 def cmd_train(args) -> dict:
     sample = load_sample_csv(args.dataset)
     cls = parse_class_spec(args.cls)
@@ -183,11 +197,11 @@ def cmd_sweep(args) -> dict:
     with open(path) as fh:
         raw = json.load(fh)
     world = _field(raw, "world", dict, path)
-    probs = _field(world, "cell_probs", lambda p: tuple(map(float, p)), path)
+    probs = _field(world, "cell_probs", _numbers, path)
     stages = tuple(
         experiments.SweepStage(
             _field(s, "m", int, path), _field(s, "class_index", int, path),
-            _field(s, "epsilon", float, path),
+            _field(s, "epsilon", _number, path),
         )
         for s in _field(raw, "stages", lambda v: [dict(s) for s in v], path)
     )

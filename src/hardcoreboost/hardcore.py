@@ -10,6 +10,7 @@ certificate is returned.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,24 +157,29 @@ class DichotomyReport:
 def verify_dichotomy(fm: FeatureMatrix, core, trials: int, seed: int) -> DichotomyReport:
     """Sample random weightings and check the abstain-or-err dichotomy.
 
-    For each unit weighting, the margins on the core must either all vanish
-    or include a strictly negative one.  Violations are counted, not thrown.
+    For each of `trials` unit weightings, the margins on the core must
+    either all vanish or include a strictly negative one.  So a trial
+    violates it when its smallest margin is >= -MARGIN_FLOOR and its largest
+    is above MARGIN_FLOOR: once no margin is below -MARGIN_FLOOR, one above
+    MARGIN_FLOOR in absolute value is above it.  Violations are counted, not
+    thrown.  A trials that is not an integer >= 0 is a ValueError.
     """
+    # a bool is an Integral, but True is no trial count
+    if not (isinstance(trials, numbers.Integral) and not isinstance(trials, bool)
+            and trials >= 0):
+        raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
     mask = region_to_mask(core, fm.m)
     a_core = fm.correlations[:, mask]  # (n, |core|)
     rng = np.random.default_rng(seed)
-    violations = 0
     if a_core.shape[1] == 0:
         return DichotomyReport(trials, 0, seed)
     lams = rng.standard_normal((trials, fm.n))
     norms = np.linalg.norm(lams, axis=1)
     norms[norms == 0] = 1.0
     lams /= norms[:, None]
-    margins = lams @ a_core  # (trials, |core|)
-    all_zero = np.all(np.abs(margins) <= MARGIN_FLOOR, axis=1)
-    some_negative = np.any(margins < -MARGIN_FLOOR, axis=1)
-    violations = int(np.sum(~(all_zero | some_negative)))
-    return DichotomyReport(trials, violations, seed)
+    margins = a_core.T @ lams.T  # (|core|, trials): each trial's margins in a column
+    violated = (margins.min(axis=0) >= -MARGIN_FLOOR) & (margins.max(axis=0) > MARGIN_FLOOR)
+    return DichotomyReport(trials, int(np.count_nonzero(violated)), seed)
 
 
 def bounded_representation(fm: FeatureMatrix, core, lam) -> np.ndarray:

@@ -14,6 +14,12 @@ anywhere but at an optimal vertex raises LpError.  Presolve is off: on
 the hard core's small dense programs it took about four fifths of each
 solve.  HiGHS's feasibility tolerances are absolute, so a caller whose
 rows are small scales them first, as `compute_hardcore` does.
+
+The bindings are imported at the first solve, not with the package: a
+command that solves no LP never loads `scipy.optimize`, and a scipy
+without the bindings raises ImportError at that first solve.  HiGHS takes
+the stacked rows [a_ub; a_eq] column-wise, as the arrays a scipy
+`csc_array` would hold, built from the dense rows with numpy alone.
 """
 
 from __future__ import annotations
@@ -21,15 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array
-
-try:
-    import scipy.optimize._highspy._core as _highs
-except ImportError as exc:  # missing from older scipy releases
-    raise ImportError(
-        "hardcoreboost needs scipy>=1.15, whose HiGHS bindings "
-        "(scipy.optimize._highspy._core) solve its linear programs"
-    ) from exc
 
 FEASIBILITY_TOL = 1e-8
 MAX_VARIABLES = 2 * 10**4
@@ -98,20 +95,29 @@ def solve(lp: LinearProgram) -> LpSolution:
 
     Returns an optimal vertex and its row duals, from a HiGHS instance of its
     own; any other outcome raises LpError naming HiGHS's model status.
+    Raises ImportError if scipy lacks the HiGHS bindings.
     """
+    try:
+        import scipy.optimize._highspy._core as _highs
+    except ImportError as exc:  # missing from older scipy releases
+        raise ImportError(
+            "hardcoreboost needs scipy>=1.15, whose HiGHS bindings "
+            "(scipy.optimize._highspy._core) solve its linear programs"
+        ) from exc
     nv = lp.n_vars
     a_ub = np.zeros((0, nv)) if lp.a_ub is None else lp.a_ub
     b_ub = np.zeros(0) if lp.b_ub is None else lp.b_ub
     a_eq = np.zeros((0, nv)) if lp.a_eq is None else lp.a_eq
     b_eq = np.zeros(0) if lp.b_eq is None else lp.b_eq
-    a = csc_array(np.vstack((a_ub, a_eq)))
+    a = np.vstack((a_ub, a_eq))
+    start, index, value = _columns(a)
     model = _highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = nv
     model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = a.indptr
-    model.a_matrix_.index_ = a.indices
-    model.a_matrix_.value_ = a.data
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
     model.col_cost_ = -lp.objective  # HiGHS minimizes
     model.col_lower_ = lp.lower
     model.col_upper_ = lp.upper
@@ -139,6 +145,17 @@ def solve(lp: LinearProgram) -> LpSolution:
     # HiGHS minimizes -c, so its row duals are -d value / d b
     y = -np.asarray(solution.row_dual, dtype=float)
     return LpSolution(float(lp.objective @ x), x, int(highs.getInfo().simplex_iteration_count), y)
+
+
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, index, value): the nonzeros of the dense a column by column,
+    rows ascending, with int32 offsets and row indices, as a scipy
+    `csc_array` of a stores them (indptr, indices, data).  -0.0 is a zero."""
+    at = a.T
+    nonzero = at != 0.0
+    start = np.zeros(at.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(nonzero, axis=1), out=start[1:])
+    return start, np.nonzero(nonzero)[1].astype(np.int32), at[nonzero]
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL):

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
-from hardcoreboost.hardcore import CORE_TOL
+from hardcoreboost.hardcore import CORE_TOL, MARGIN_FLOOR
 from hardcoreboost.lp import LinearProgram, LpError, LpSolution, _check_feasible, solve
+from hardcoreboost.risk import region_to_mask
 
 
 def linprog_solve(lp):
@@ -53,6 +55,13 @@ def assert_same_solution(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
+def csc_columns(a):
+    """(indptr, indices, data) of scipy's csc_array of the dense a: its
+    nonzeros column by column, rows ascending, -0.0 dropped as a zero."""
+    csc = csc_array(a)
+    return csc.indptr, csc.indices, csc.data
+
+
 def planted_problem(m, n, core_frac, rng):
     """The benchmark's planted generator (bench/planted.py): (x, y, core)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "planted.py"
@@ -60,6 +69,30 @@ def planted_problem(m, n, core_frac, rng):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.planted_problem(m, n, core_frac, rng)
+
+
+def dichotomy_trials(fm, core, trials, seed):
+    """(a_core, lams): the core's correlation columns and the unit
+    weightings `verify_dichotomy` draws, one per row, from the same rng."""
+    a_core = fm.correlations[:, region_to_mask(core, fm.m)]
+    rng = np.random.default_rng(seed)
+    lams = rng.standard_normal((trials, fm.n))
+    norms = np.linalg.norm(lams, axis=1)
+    norms[norms == 0] = 1.0
+    return a_core, lams / norms[:, None]
+
+
+def dichotomy_violations(fm, core, trials, seed):
+    """`verify_dichotomy`'s count by its first predicate, on the (trials,
+    |core|) margins: a trial violates unless every margin is within
+    MARGIN_FLOOR of 0 or some margin is below -MARGIN_FLOOR."""
+    a_core, lams = dichotomy_trials(fm, core, trials, seed)
+    if a_core.shape[1] == 0:
+        return 0
+    margins = lams @ a_core
+    all_zero = np.all(np.abs(margins) <= MARGIN_FLOOR, axis=1)
+    some_negative = np.any(margins < -MARGIN_FLOOR, axis=1)
+    return int(np.sum(~(all_zero | some_negative)))
 
 
 def per_point_core(fm):

@@ -113,6 +113,20 @@ class TestHardcoreCommand:
         assert report["core"] == [0, 1, 2]
         assert report["verification"]["dichotomy_violations"] == 0
 
+    @pytest.mark.parametrize("csv_text", [THREE_POINT_CSV, "f1,label\n1.0,1\n-1.0,-1\n"],
+                             ids=["whole-core", "empty-core"])
+    def test_negative_trials_domain_error(self, capsys, tmp_path, csv_text):
+        # an empty core returned before trials was read, and wrote "dichotomy_trials": -5
+        path = tmp_path / "data.csv"
+        path.write_text(csv_text)
+        code = run(["hardcore", str(path), "--class", "proj:1", "--seed", "3",
+                    "--trials", "-5", "--no-timestamp"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "trials" in err["message"]
+
     def test_removed_debug_flag_is_a_usage_error(self, capsys, three_point):
         code = run(
             ["hardcore", str(three_point), "--class", "proj:1", "--seed", "3", "--dump-lp"]
@@ -293,9 +307,29 @@ class TestSweepCommand:
             ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3,
               "stages": [{"m": 50, "class_index": "1", "epsilon": 0.01}]},
              "key 'class_index' has an ill-typed value '1'"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": True}]},
+             "key 'epsilon' has an ill-typed value True"),
+            ({"world": {"cell_probs": [1.0, 0.0]}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": "0.01"}]},
+             "key 'epsilon' has an ill-typed value '0.01'"),
+            ({"world": {"cell_probs": [True, False]}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'cell_probs' has an ill-typed value [True, False]"),
+            ({"world": {"cell_probs": "1"}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'cell_probs' has an ill-typed value '1'"),
+            ({"world": {"cell_probs": 0.5}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'cell_probs' has an ill-typed value 0.5"),
+            ({"world": {"cell_probs": [0.8, "0.2"]}, "seed": 3,
+              "stages": [{"m": 50, "class_index": 1, "epsilon": 0.01}]},
+             "key 'cell_probs' has an ill-typed value [0.8, '0.2']"),
         ],
         ids=["no-stages", "scalar-stages", "fractional-replications", "boolean-seed",
-             "float-m", "string-class-index"],
+             "float-m", "string-class-index", "boolean-epsilon", "string-epsilon",
+             "boolean-cell-probs", "string-cell-probs", "scalar-cell-probs",
+             "string-cell-prob"],
     )
     def test_malformed_config_domain_error(self, capsys, tmp_path, cfg, message):
         cfg_path = tmp_path / "sweep.json"
@@ -320,6 +354,23 @@ class TestSweepCommand:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "ValueError" and "epsilon" in err["message"]
+
+    def test_integer_numbers_are_floats(self, tmp_path):
+        # a JSON integer is a number: epsilon 1 and cell_probs [1, 0] read as 1.0 and (1.0, 0.0)
+        rows = []
+        for world, epsilon in (([1, 0], 1), ([1.0, 0.0], 1.0)):
+            cfg = {
+                "world": {"cell_probs": world},
+                "stages": [{"m": 50, "class_index": 1, "epsilon": epsilon}],
+                "seed": 3,
+                "replications": 2,
+            }
+            cfg_path = tmp_path / "sweep.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / "curve.csv"
+            assert run(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+            rows.append(out.read_text())
+        assert rows[0] == rows[1]
 
     def test_stage_without_replications_writes_nan(self, tmp_path, monkeypatch):
         # every replication misses its target, so the stage keeps no risks

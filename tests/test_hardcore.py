@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from conftest import (
     decorrelation_support_oracle,
+    dichotomy_trials,
+    dichotomy_violations,
     lattice_core,
     linprog_solve,
     max_margin_oracle,
@@ -426,6 +428,66 @@ class TestDichotomy:
         fm = FeatureMatrix(np.array([[h]]), np.array([1.0]))
         rep = verify_dichotomy(fm, np.array([0]), trials=50, seed=0)
         assert (rep.violations > 0) == violated
+
+
+    @pytest.mark.parametrize("trials", [-1, -5, 2.0, True, "10", None])
+    @pytest.mark.parametrize("core", [[], [0, 1, 2]], ids=["empty-core", "whole-core"])
+    def test_trials_must_be_a_count(self, trials, core):
+        # an empty core returned before trials was read: trials=-5 gave a report
+        with pytest.raises(ValueError, match="trials"):
+            verify_dichotomy(three_point_fm(), np.array(core, dtype=int), trials=trials, seed=0)
+
+    def test_numpy_integer_trials(self):
+        rep = verify_dichotomy(three_point_fm(), np.array([0, 1, 2]), trials=np.int64(10), seed=0)
+        assert rep.trials == 10 and rep.violations == 0
+
+
+def dichotomy_index_sets(fm, core):
+    """The core, and index sets that are not cores, so that some trials violate."""
+    comp = np.setdiff1d(np.arange(fm.m), core)
+    return [core, comp, np.arange(fm.m), np.array([0]), np.array([fm.m - 1]),
+            np.array([0, fm.m - 1]), np.array([], dtype=int)]
+
+
+@pytest.fixture(scope="module")
+def planted_dichotomy_inputs():
+    inputs = []
+    for core_frac in (0.0, 0.5, 1.0):
+        x, y, core = planted_problem(160, 8, core_frac, np.random.default_rng(int(4 * core_frac)))
+        fm = FeatureMatrix(x, y)
+        inputs += [(fm, idx) for idx in dichotomy_index_sets(fm, core)]
+    return inputs
+
+
+class TestDichotomyOracle:
+    """verify_dichotomy's min/max count is the all/any count of its first form."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 1000])
+    def test_planted_inputs_match_the_all_any_count(self, planted_dichotomy_inputs, trials):
+        total = 0
+        for k, (fm, idx) in enumerate(planted_dichotomy_inputs):
+            rep = verify_dichotomy(fm, idx, trials=trials, seed=k)
+            assert (rep.trials, rep.seed) == (trials, k)
+            assert rep.violations == dichotomy_violations(fm, idx, trials, k)
+            total += rep.violations
+        # the index sets that are not cores make the comparison non-vacuous
+        assert (total > 0) == (trials > 0)
+
+    def test_three_point_index_sets(self):
+        fm = three_point_fm()
+        for seed, idx in enumerate(([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])):
+            for trials in (0, 1, 1000):
+                rep = verify_dichotomy(fm, np.array(idx), trials=trials, seed=seed)
+                assert rep.violations == dichotomy_violations(fm, np.array(idx), trials, seed)
+
+    def test_margins_product_is_the_transposed_one_bit_for_bit(self, planted_dichotomy_inputs):
+        # verify_dichotomy forms its margins as a_core.T @ lams.T, one trial
+        # per contiguous column; the all/any form had lams @ a_core
+        for k, (fm, idx) in enumerate(planted_dichotomy_inputs):
+            for trials in (1, 1000):
+                a_core, lams = dichotomy_trials(fm, idx, trials, k)
+                got = a_core.T @ lams.T
+                assert got.tobytes() == np.ascontiguousarray((lams @ a_core).T).tobytes()
 
 
 class TestBoundedRepresentation:

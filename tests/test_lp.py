@@ -4,9 +4,17 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import assert_same_solution, box_vertices, linprog_solve
+from conftest import assert_same_solution, box_vertices, csc_columns, linprog_solve
 
-from hardcoreboost.lp import MAX_VARIABLES, LinearProgram, LpError, _check_feasible, solve
+from hardcoreboost import lp as lp_module
+from hardcoreboost.lp import (
+    MAX_VARIABLES,
+    LinearProgram,
+    LpError,
+    _check_feasible,
+    _columns,
+    solve,
+)
 
 
 def assert_both_raise(lp, status):
@@ -343,13 +351,67 @@ def test_feasibility_check_rejects_a_bound_violation():
 
 
 def test_import_names_the_scipy_it_needs(monkeypatch):
+    # the bindings load at the first solve: the package imports without
+    # them, and that solve raises
     loaded = {name for name in sys.modules if name.partition(".")[0] == "hardcoreboost"}
     for name in loaded:
         monkeypatch.delitem(sys.modules, name)
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     try:
+        fresh = importlib.import_module("hardcoreboost")
         with pytest.raises(ImportError, match=r"scipy>=1\.15"):
-            importlib.import_module("hardcoreboost")
+            fresh.solve(fresh.LinearProgram(np.array([1.0]), upper=np.array([1.0])))
     finally:
         for name in [n for n in sys.modules if n.partition(".")[0] == "hardcoreboost"]:
             del sys.modules[name]
+
+
+class TestColumns:
+    """solve hands HiGHS the arrays a scipy csc_array of [a_ub; a_eq] holds."""
+
+    @staticmethod
+    def assert_csc(got, a):
+        for name, g, w in zip(("start", "index", "value"), got, csc_columns(a)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    def test_random_dense_matrices(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            k, nv = rng.integers(1, 9, size=2)
+            a = rng.standard_normal((k, nv))
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[rng.random(a.shape) < 0.2] = -0.0
+            a[:, rng.integers(nv)] = 0.0  # an all-zero column
+            self.assert_csc(_columns(a), a)
+
+    def test_zero_rows_and_zero_matrix(self):
+        self.assert_csc(_columns(np.zeros((0, 4))), np.zeros((0, 4)))
+        self.assert_csc(_columns(np.full((3, 2), -0.0)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("rows", ["none", "a_ub", "a_eq", "both"])
+    def test_solve_passes_the_stacked_rows(self, monkeypatch, rows):
+        passed = []
+
+        def recording_columns(a):
+            passed.append(_columns(a))
+            return passed[-1]
+
+        monkeypatch.setattr(lp_module, "_columns", recording_columns)
+        rng = np.random.default_rng(len(rows))
+        a_ub = rng.standard_normal((3, 5)) if rows in ("a_ub", "both") else None
+        a_eq = rng.standard_normal((2, 5)) if rows in ("a_eq", "both") else None
+        for a in (a_ub, a_eq):
+            if a is not None:
+                a[0, 1] = a[1, 3] = 0.0
+                a[1, 0] = -0.0
+        # x = 0 is feasible, and the box bounds every objective
+        lp = LinearProgram(
+            rng.standard_normal(5), upper=np.ones(5),
+            a_ub=a_ub, b_ub=None if a_ub is None else np.ones(3),
+            a_eq=a_eq, b_eq=None if a_eq is None else np.zeros(2),
+        )
+        assert_same_solution(solve(lp), linprog_solve(lp))
+        stacked = np.vstack([a for a in (a_ub, a_eq) if a is not None] or [np.zeros((0, 5))])
+        assert len(passed) == 1
+        self.assert_csc(passed[0], stacked)
+

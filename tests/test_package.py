@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hardcoreboost
 
 # hardcoreboost.__all__ is built from dir(), so it holds the submodules the
@@ -26,3 +31,15 @@ def test_public_names_are_pinned():
     # the public names are a contract: a change here is recorded in CHANGES.md
     assert len(PUBLIC_NAMES) == 67
     assert sorted(hardcoreboost.__all__) == PUBLIC_NAMES
+
+
+def test_import_leaves_the_lp_engine_unloaded():
+    # scipy.optimize (and the scipy.sparse it imports) load at the first LP
+    # solve, so a command that solves none starts without them
+    src = str(Path(hardcoreboost.__file__).resolve().parents[1])
+    code = ("import sys, hardcoreboost; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
